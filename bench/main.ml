@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (printed as the paper's rows/series), then times the competing
-   analyses with Bechamel.
+   analyses' growth with circuit size.
 
    Sections, in order:
      TABLE1   four-value logic tables
@@ -15,8 +15,7 @@
      EXTENSION critical paths; sequential fixed point; chip delay/yield
      ABLATION interconnect loading; cell library; multiple-input
               switching; enclosure comparison (STA / Frechet / affine)
-     SCALING  runtime growth up to ~10k-gate profiles
-     BECHAMEL micro-benchmarks (one Test.make per table/figure path)
+     SCALING  runtime growth up to ~10k-gate profiles ([wall_best])
 
    SPSTA_BENCH_RUNS overrides the Monte Carlo run count (default 10000).
 
@@ -288,74 +287,6 @@ let enclosure_ablation () =
     (Spsta_util.Stats.mean fig.Experiments.Fig1.mc_delays)
     (Spsta_util.Stats.stddev fig.Experiments.Fig1.mc_delays)
 
-let scaling_section () =
-  (* runtime growth with circuit size (the paper's Table 3 claim that
-     SPSTA stays linear in the netlist): larger ISCAS'89 profiles with a
-     reduced MC budget *)
-  let table =
-    Spsta_util.Table.create
-      ~headers:[ "test"; "gates"; "SPSTA (s)"; "SSTA (s)"; "MC1000 (s)" ]
-  in
-  let time f =
-    let start = Sys.time () in
-    let _ = f () in
-    Sys.time () -. start
-  in
-  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
-  List.iter
-    (fun name ->
-      let circuit = Experiments.Benchmarks.load name in
-      let t_spsta = time (fun () -> Analyzer.Moments.analyze circuit ~spec) in
-      let t_ssta = time (fun () -> Ssta.analyze circuit) in
-      let t_mc = time (fun () -> Monte_carlo.simulate ~runs:1000 ~seed circuit ~spec) in
-      Spsta_util.Table.add_row table
-        [ name; string_of_int (Circuit.gate_count circuit); Printf.sprintf "%.4f" t_spsta;
-          Printf.sprintf "%.4f" t_ssta; Printf.sprintf "%.4f" t_mc ])
-    [ "s344"; "s1238"; "s5378"; "s9234"; "s15850" ];
-  print_endline (Spsta_util.Table.render table)
-
-let bechamel_benchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  let circuit = Experiments.Benchmarks.load "s344" in
-  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      stage "table2/spsta-s344" (fun () -> ignore (Analyzer.Moments.analyze circuit ~spec));
-      stage "table2+table3/ssta-s344" (fun () -> ignore (Ssta.analyze circuit));
-      stage "table2+table3/mc100-s344" (fun () ->
-          ignore (Monte_carlo.simulate ~runs:100 ~seed circuit ~spec));
-      stage "table1/value4-tables" (fun () -> ignore (Experiments.Table1.render ()));
-      stage "fig1/sta-ssta-views" (fun () ->
-          ignore (Experiments.Fig1.run ~runs:50 ~seed ~case:Experiments.Workloads.Case_i ()));
-      stage "fig2/sum-max-ops" (fun () -> ignore (Experiments.Fig2.run ()));
-      stage "fig3/and-gate" (fun () -> ignore (Experiments.Fig3.run ()));
-      stage "fig4/weighted-sum" (fun () -> ignore (Experiments.Fig4.run ()));
-      stage "summary/exact-prob-s27" (fun () ->
-          ignore (Spsta_core.Exact_prob.compute (Experiments.Benchmarks.s27 ()) ~spec));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  let report test =
-    let stats = analyze (benchmark test) in
-    Hashtbl.iter
-      (fun name result ->
-        match Bechamel.Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-28s %14.1f ns/run\n%!" name est
-        | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      stats
-  in
-  List.iter report tests
-
 (* ---------- machine-readable mode ---------- *)
 
 let wall f =
@@ -430,6 +361,31 @@ let wall_best f =
     done;
     (!best, v, !batches * n)
   end
+
+let scaling_section () =
+  (* runtime growth with circuit size (the paper's Table 3 claim that
+     SPSTA stays linear in the netlist): larger ISCAS'89 profiles with a
+     reduced MC budget *)
+  let table =
+    Spsta_util.Table.create
+      ~headers:[ "test"; "gates"; "SPSTA (s)"; "SSTA (s)"; "MC1000 (s)" ]
+  in
+  let time f =
+    let t, _, _ = wall_best f in
+    t
+  in
+  let spec = Experiments.Workloads.spec_fn Experiments.Workloads.Case_i in
+  List.iter
+    (fun name ->
+      let circuit = Experiments.Benchmarks.load name in
+      let t_spsta = time (fun () -> Analyzer.Moments.analyze circuit ~spec) in
+      let t_ssta = time (fun () -> Ssta.analyze circuit) in
+      let t_mc = time (fun () -> Monte_carlo.simulate ~runs:1000 ~seed circuit ~spec) in
+      Spsta_util.Table.add_row table
+        [ name; string_of_int (Circuit.gate_count circuit); Printf.sprintf "%.4f" t_spsta;
+          Printf.sprintf "%.4f" t_ssta; Printf.sprintf "%.4f" t_mc ])
+    [ "s344"; "s1238"; "s5378"; "s9234"; "s15850" ];
+  print_endline (Spsta_util.Table.render table)
 
 (* Sizing workload.  Two measurements feed the [sizing] JSON section:
 
@@ -1148,5 +1104,4 @@ let () =
   section "ABLATION: cell library" cell_library_ablation;
   section "ABLATION: multiple-input switching" mis_ablation;
   section "ABLATION: enclosures" enclosure_ablation;
-  section "SCALING" scaling_section;
-  section "BECHAMEL" bechamel_benchmarks
+  section "SCALING" scaling_section

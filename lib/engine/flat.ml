@@ -1,6 +1,5 @@
 module Circuit = Spsta_netlist.Circuit
 module Gate_kind = Spsta_logic.Gate_kind
-module Parallel = Spsta_util.Parallel
 module Clark = Spsta_dist.Clark
 module FA = Float.Array
 
@@ -33,118 +32,6 @@ type rf_buf = {
 }
 
 let rf_buf () = { rise_mu = 0.0; rise_sig = 0.0; fall_mu = 0.0; fall_sig = 0.0 }
-
-(* The scheduling skeleton shared by the flat kernels: the same
-   sequential sweep / levelized-parallel sweep (persistent pool, chunk
-   claiming, narrow-level fusion, [wide_cutoff]) / dirty-cone update as
-   [Propagate.Make], re-expressed over CSR gate-index ranges.  The
-   cutoffs and chunk decompositions are copied verbatim from the record
-   engine so the two schedules stay aligned. *)
-module type KERNEL = sig
-  type t
-
-  type scratch
-  (** Per-worker state (Clark buffers, …) — never shared across domains. *)
-
-  val circuit : t -> Circuit.t
-  val scratch : t -> scratch
-  val seed : t -> scratch -> Circuit.id -> unit
-  val eval : t -> scratch -> int -> unit
-  (** Evaluate the gate at CSR index [k] (= topo position), reading
-      operand slots and writing the output slot.  Pure per gate, which
-      is what keeps the parallel schedule bit-identical. *)
-end
-
-module Sweep (K : KERNEL) = struct
-  let wide_cutoff domains = max 16 (2 * domains)
-
-  let seq_range t scratch glo ghi =
-    for k = glo to ghi - 1 do
-      K.eval t scratch k
-    done
-
-  let par_range ~domains t glo ghi =
-    let width = ghi - glo in
-    let chunks = min width (max domains (min (4 * domains) (width / 8))) in
-    let bounds = Parallel.ranges ~chunks width in
-    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun c ->
-        (* per-chunk scratch: chunks of one level run concurrently *)
-        let scratch = K.scratch t in
-        let lo, hi = bounds.(c) in
-        seq_range t scratch (glo + lo) (glo + hi))
-
-  let sweep ~domains ~instrument t =
-    let circuit = K.circuit t in
-    let csr = Circuit.csr circuit in
-    let level_off = csr.Circuit.level_off in
-    let nlev = Array.length level_off - 1 in
-    match instrument with
-    | None when domains = 1 -> seq_range t (K.scratch t) 0 (Array.length csr.Circuit.gate_net)
-    | Some f ->
-      (* instrumented path: exact per-level stats, no fusion *)
-      let cutoff = wide_cutoff domains in
-      let scratch = K.scratch t in
-      for l = 0 to nlev - 1 do
-        let glo = level_off.(l) and ghi = level_off.(l + 1) in
-        let width = ghi - glo in
-        let start = Unix.gettimeofday () in
-        if domains = 1 || width < cutoff then seq_range t scratch glo ghi
-        else par_range ~domains t glo ghi;
-        f
-          { Propagate.level = Circuit.level circuit csr.Circuit.gate_net.(glo);
-            gates = width;
-            (* clamped: [gettimeofday] is not monotone, and a clock
-               step must not report a negative level time *)
-            elapsed_s = Float.max 0.0 (Unix.gettimeofday () -. start) }
-      done
-    | None ->
-      (* runs of adjacent narrow levels are fused; levels are contiguous
-         CSR ranges, so a fused run is just a longer range *)
-      let cutoff = wide_cutoff domains in
-      let scratch = K.scratch t in
-      let l = ref 0 in
-      while !l < nlev do
-        let glo = level_off.(!l) in
-        if domains > 1 && level_off.(!l + 1) - glo >= cutoff then begin
-          par_range ~domains t glo level_off.(!l + 1);
-          incr l
-        end
-        else begin
-          incr l;
-          while !l < nlev && (domains = 1 || level_off.(!l + 1) - level_off.(!l) < cutoff) do
-            incr l
-          done;
-          seq_range t scratch glo level_off.(!l)
-        end
-      done
-
-  let run ~domains ~instrument t =
-    let circuit = K.circuit t in
-    (match Circuit.sources circuit with
-    | [] ->
-      (* acyclicity forces every non-empty circuit to have a minimal
-         net, and minimal nets are sources *)
-      if Circuit.num_nets circuit > 0 then invalid_arg "Flat.run: circuit has nets but no sources"
-    | sources ->
-      let scratch = K.scratch t in
-      List.iter (K.seed t scratch) sources);
-    sweep ~domains ~instrument t
-
-  let update t ~changed =
-    let circuit = K.circuit t in
-    let cone = Propagate.dirty_cone circuit ~changed in
-    let scratch = K.scratch t in
-    (* refresh changed sources (their seed is what changed); marking
-       never reaches a source, so the changed roots are the only
-       candidates *)
-    List.iter
-      (fun id ->
-        match Circuit.driver circuit id with
-        | Circuit.Input | Circuit.Dff_output _ -> K.seed t scratch id
-        | Circuit.Gate _ -> ())
-      changed;
-    Array.iter (fun id -> K.eval t scratch (Circuit.topo_position circuit id)) cone
-end
 
 (* ------------------------------------------------------------------ *)
 (* Min/max-separated SSTA (the [Ssta] analyzer's domain): one normal
@@ -321,7 +208,7 @@ module Ssta = struct
       store_checked t g ~rise_mu ~rise_sig ~fall_mu ~fall_sig
   end
 
-  module S = Sweep (K)
+  module S = Propagate.Sweep (K)
 
   let kernel st cfg =
     let csr = Circuit.csr st.circuit in
@@ -334,8 +221,7 @@ module Ssta = struct
       fanin = csr.Circuit.fanin;
     }
 
-  let run ~source ~delay ?check ?domains ?instrument circuit =
-    let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
+  let run ~source ~delay ?check ?domains circuit =
     let n = Circuit.num_nets circuit in
     let st =
       {
@@ -348,7 +234,7 @@ module Ssta = struct
         fall_sigma = FA.make n 0.0;
       }
     in
-    S.run ~domains ~instrument (kernel st { source; delay; check });
+    S.run ?domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =
@@ -430,7 +316,7 @@ module Sta = struct
       store_checked t g ~early:(!e +. d) ~late:(!l +. d)
   end
 
-  module S = Sweep (K)
+  module S = Propagate.Sweep (K)
 
   let kernel st cfg =
     let csr = Circuit.csr st.circuit in
@@ -442,11 +328,10 @@ module Sta = struct
       fanin = csr.Circuit.fanin;
     }
 
-  let run ~source ~delay ?check ?domains ?instrument circuit =
-    let domains = match domains with Some d -> Parallel.check_domains d | None -> 1 in
+  let run ~source ~delay ?check ?domains circuit =
     let n = Circuit.num_nets circuit in
     let st = { circuit; early = FA.make n 0.0; late = FA.make n 0.0 } in
-    S.run ~domains ~instrument (kernel st { source; delay; check });
+    S.run ?domains (kernel st { source; delay; check });
     st
 
   let update ~source ~delay ?check st ~changed =

@@ -11,14 +11,13 @@
     ({!Spsta_dist.Clark.mv}, {!rf_buf}) — the inner loop performs no
     allocation at all.
 
-    Scheduling (sequential sweep, levelized-parallel sweep over the
-    persistent {!Spsta_util.Parallel} pool with narrow-level fusion,
-    dirty-cone incremental update via {!Propagate.dirty_cone}) mirrors
-    the record engine exactly, and every fold replays the record
-    engine's operation order — results are bit-identical (IEEE-exact)
-    to the record engine at every domain count.  The analyzers
-    ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta}) route through these kernels
-    by default and materialize records only at their API boundary. *)
+    Each kernel is a {!Propagate.KERNEL} scheduled by the one
+    levelized scheduler, {!Propagate.Sweep}, and every fold replays the
+    record engine's operation order — results are bit-identical
+    (IEEE-exact) to the record engine at every domain count.  The
+    analyzers ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta}) route through these
+    kernels by default and materialize records only at their API
+    boundary. *)
 
 type rf_buf = {
   mutable rise_mu : float;
@@ -52,14 +51,12 @@ module Ssta : sig
     delay:(Spsta_netlist.Circuit.id -> rf_buf -> unit) ->
     ?check:check ->
     ?domains:int ->
-    ?instrument:(Propagate.level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     state
   (** Full sweep.  [source] fills the buffer with a source net's arrival
       moments; [delay] fills it with a gate's (rise, fall) delay moments
-      and is called exactly once per evaluated gate.  [domains],
-      [instrument] and the scheduling cutoffs behave exactly as in
-      {!Propagate.Make.run}. *)
+      and is called exactly once per evaluated gate.  [domains] is
+      {!Propagate.Sweep.run}'s. *)
 
   val update :
     source:(Spsta_netlist.Circuit.id -> rf_buf -> unit) ->
@@ -68,8 +65,8 @@ module Ssta : sig
     state ->
     changed:Spsta_netlist.Circuit.id list ->
     state
-  (** Dirty-cone incremental re-propagation, {!Propagate.Make.update}
-      semantics: re-seeds changed sources, re-evaluates exactly the
+  (** Dirty-cone incremental re-propagation ({!Propagate.Sweep.update}):
+      re-seeds changed sources, re-evaluates exactly the
       combinational fanout cones in sequential order ([delay] is called
       once per dirty gate), shares slots outside the cones by copying
       the arrays.  The input state is not mutated. *)
@@ -98,7 +95,6 @@ module Sta : sig
     delay:(Spsta_netlist.Circuit.id -> float) ->
     ?check:check ->
     ?domains:int ->
-    ?instrument:(Propagate.level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     state
 

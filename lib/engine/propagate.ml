@@ -3,8 +3,6 @@ module Parallel = Spsta_util.Parallel
 
 type 'state result = { circuit : Circuit.t; per_net : 'state array }
 
-type level_stat = { level : int; gates : int; elapsed_s : float }
-
 module type DOMAIN = sig
   type state
 
@@ -80,10 +78,7 @@ end
    whole netlist; its combinational cone is a few percent).  Callers
    whose *seed* changed — a Q net after a sequential iteration, a
    source with new input statistics — name that net in [changed] and it
-   is marked as a root here.
-
-   Shared by the record engine's {!Make.update} and the flat kernels in
-   {!Flat}: one marking pass, one set of register-boundary semantics. *)
+   is marked as a root here. *)
 let dirty_cone circuit ~changed =
   let n = Circuit.num_nets circuit in
   (* a byte per net, not a word: initialising the mark store is part of
@@ -99,7 +94,7 @@ let dirty_cone circuit ~changed =
     if Bytes.get dirty id = '\000' then begin
       Bytes.set dirty id '\001';
       (match Circuit.driver circuit id with
-      | Circuit.Gate _ -> cone := id :: !cone
+      | Circuit.Gate _ -> cone := Circuit.topo_position circuit id :: !cone
       | Circuit.Input | Circuit.Dff_output _ -> ());
       Array.iter
         (fun out ->
@@ -111,145 +106,91 @@ let dirty_cone circuit ~changed =
   in
   List.iter mark changed;
   let cone = Array.of_list !cone in
-  (* sequential evaluation order, restricted to the cone: sorting on
-     the topo position replays exactly the full sweep's order *)
-  Array.sort
-    (fun a b -> compare (Circuit.topo_position circuit a) (Circuit.topo_position circuit b))
-    cone;
+  (* sequential evaluation order, restricted to the cone: sorting the
+     topo positions replays exactly the full sweep's order *)
+  Array.sort Int.compare cone;
   cone
 
-module Make (D : DOMAIN) = struct
-  (* Reusable operand buffers, one per fan-in arity, replacing the
-     fresh [Array.map] allocation [step] used to pay per gate: on a
-     million-gate sweep those throwaway arrays were a measurable slice
-     of the minor-heap churn that serializes parallel domains on GC.
-     One scratch per worker — never shared across domains. *)
-  type scratch = D.state array array ref
+module type KERNEL = sig
+  type t
+  type scratch
 
-  let scratch_create () : scratch = ref [||]
+  val circuit : t -> Circuit.t
+  val scratch : t -> scratch
+  val seed : t -> scratch -> Circuit.id -> unit
+  val eval : t -> scratch -> int -> unit
+end
 
-  let operand_buf (scratch : scratch) n init =
-    let tbl =
-      if Array.length !scratch <= n then begin
-        let t = Array.make (n + 1) [||] in
-        Array.blit !scratch 0 t 0 (Array.length !scratch);
-        scratch := t;
-        t
-      end
-      else !scratch
-    in
-    if Array.length tbl.(n) <> n then tbl.(n) <- Array.make n init;
-    tbl.(n)
-
-  (* One gate of the propagation, reading operands from [per_net] and
-     writing its own slot.  Gates within one level never read each
-     other, so a whole level can run this step concurrently; [D.eval]
-     is pure and must not retain the operand buffer, which makes the
-     parallel schedule bit-identical to the sequential one. *)
-  let step circuit per_net scratch g =
-    match Circuit.driver circuit g with
-    | Circuit.Gate { inputs; _ } as driver ->
-      let n = Array.length inputs in
-      (* finalize rejects zero-arity gates, so [inputs.(0)] exists *)
-      let ops = operand_buf scratch n per_net.(inputs.(0)) in
-      for j = 0 to n - 1 do
-        ops.(j) <- per_net.(inputs.(j))
-      done;
-      per_net.(g) <- D.eval circuit g driver ops
-    | Circuit.Input | Circuit.Dff_output _ -> assert false
-
+module Sweep (K : KERNEL) = struct
   (* Narrow levels aren't worth a barrier; the cutoff only affects
      scheduling, never values. *)
   let wide_cutoff domains = max 16 (2 * domains)
+
+  let seq_range t scratch lo hi =
+    for k = lo to hi - 1 do
+      K.eval t scratch k
+    done
 
   (* One wide level across the persistent domain pool: the level is cut
      into chunks (several per domain, each a contiguous gate range of at
      least ~8 gates) claimed through an atomic work index, so uneven
      per-gate costs load-balance while the chunk decomposition — hence
      the result — stays a pure function of (width, domains). *)
-  let par_level ~domains circuit per_net gates =
-    let width = Array.length gates in
+  let par_range ~domains t glo ghi =
+    let width = ghi - glo in
     let chunks = min width (max domains (min (4 * domains) (width / 8))) in
     let bounds = Parallel.ranges ~chunks width in
-    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun k ->
+    Parallel.run_chunks ~domains ~chunks:(Array.length bounds) (fun c ->
         (* per-chunk scratch: chunks of one level run concurrently *)
-        let scratch = scratch_create () in
-        let lo, hi = bounds.(k) in
-        for i = lo to hi - 1 do
-          step circuit per_net scratch gates.(i)
-        done)
+        let scratch = K.scratch t in
+        let lo, hi = bounds.(c) in
+        seq_range t scratch (glo + lo) (glo + hi))
 
-  let sweep_levels ~domains ~instrument circuit per_net =
-    let by_level = Circuit.gates_by_level circuit in
-    let cutoff = wide_cutoff domains in
-    let scratch = scratch_create () in
-    match instrument with
-    | Some f ->
-      (* instrumented path: exact per-level stats, no fusion *)
+  (* [gates_by_level] concatenated is [topo_gates], so every level is a
+     contiguous range of topo positions.  Runs of adjacent narrow levels
+     are fused into one sequential range on the calling domain — zero
+     scheduler interaction — so only the genuinely wide levels pay a
+     barrier. *)
+  let sweep ~domains t =
+    let circuit = K.circuit t in
+    let scratch = K.scratch t in
+    if domains = 1 then seq_range t scratch 0 (Array.length (Circuit.topo_gates circuit))
+    else begin
+      let cutoff = wide_cutoff domains in
+      (* [lo, hi) is the pending fused run of narrow levels *)
+      let lo = ref 0 and hi = ref 0 in
       Array.iter
         (fun gates ->
           let width = Array.length gates in
-          let start = Unix.gettimeofday () in
-          if domains = 1 || width < cutoff then Array.iter (step circuit per_net scratch) gates
-          else par_level ~domains circuit per_net gates;
-          f
-            { level = Circuit.level circuit gates.(0);
-              gates = width;
-              (* clamped: [gettimeofday] is not monotone, and a clock
-                 step must not report a negative level time *)
-              elapsed_s = Float.max 0.0 (Unix.gettimeofday () -. start) })
-        by_level
-    | None ->
-      (* runs of adjacent narrow levels are fused into one sequential
-         batch on the calling domain — zero scheduler interaction —
-         so only the genuinely wide levels pay a barrier *)
-      let nlev = Array.length by_level in
-      let i = ref 0 in
-      while !i < nlev do
-        let gates = by_level.(!i) in
-        if domains > 1 && Array.length gates >= cutoff then begin
-          par_level ~domains circuit per_net gates;
-          incr i
-        end
-        else begin
-          Array.iter (step circuit per_net scratch) gates;
-          incr i;
-          while
-            !i < nlev && (domains = 1 || Array.length by_level.(!i) < cutoff)
-          do
-            Array.iter (step circuit per_net scratch) by_level.(!i);
-            incr i
-          done
-        end
-      done
+          if width < cutoff then hi := !hi + width
+          else begin
+            seq_range t scratch !lo !hi;
+            par_range ~domains t !hi (!hi + width);
+            lo := !hi + width;
+            hi := !lo
+          end)
+        (Circuit.gates_by_level circuit);
+      seq_range t scratch !lo !hi
+    end
 
-  let run ?domains ?instrument circuit =
-    let domains =
-      match domains with Some d -> Parallel.check_domains d | None -> 1
-    in
-    let n = Circuit.num_nets circuit in
-    match Circuit.sources circuit with
+  let run ?(domains = 1) t =
+    let domains = Parallel.check_domains domains in
+    let circuit = K.circuit t in
+    (match Circuit.sources circuit with
     | [] ->
       (* acyclicity forces every non-empty circuit to have a minimal
          net, and minimal nets are sources *)
-      if n > 0 then invalid_arg "Propagate.run: circuit has nets but no sources";
-      { circuit; per_net = [||] }
-    | s0 :: _ as sources ->
-      (* the fill value is arbitrary: every net is either a source
-         (seeded below) or a gate (written before it is ever read) *)
-      let per_net = Array.make n (D.source s0) in
-      List.iter (fun s -> per_net.(s) <- D.source s) sources;
-      if domains = 1 && Option.is_none instrument then begin
-        let scratch = scratch_create () in
-        Array.iter (step circuit per_net scratch) (Circuit.topo_gates circuit)
-      end
-      else sweep_levels ~domains ~instrument circuit per_net;
-      { circuit; per_net }
+      if Circuit.num_nets circuit > 0 then
+        invalid_arg "Propagate.run: circuit has nets but no sources"
+    | sources ->
+      let scratch = K.scratch t in
+      List.iter (K.seed t scratch) sources);
+    sweep ~domains t
 
-  let update r ~changed =
-    let circuit = r.circuit in
+  let update t ~changed =
+    let circuit = K.circuit t in
     let cone = dirty_cone circuit ~changed in
-    let per_net = Array.copy r.per_net in
+    let scratch = K.scratch t in
     (* refresh changed sources (their seed is what changed); marking
        itself never reaches a source — fanout targets are always gates
        or register D pins — so the changed roots are the only
@@ -257,10 +198,79 @@ module Make (D : DOMAIN) = struct
     List.iter
       (fun id ->
         match Circuit.driver circuit id with
-        | Circuit.Input | Circuit.Dff_output _ -> per_net.(id) <- D.source id
+        | Circuit.Input | Circuit.Dff_output _ -> K.seed t scratch id
         | Circuit.Gate _ -> ())
       changed;
-    let scratch = scratch_create () in
-    Array.iter (step circuit per_net scratch) cone;
+    Array.iter (K.eval t scratch) cone
+end
+
+module Make (D : DOMAIN) = struct
+  module K = struct
+    type t = { circuit : Circuit.t; topo : Circuit.id array; per_net : D.state array }
+
+    (* Reusable operand buffers, one per fan-in arity, replacing the
+       fresh [Array.map] allocation a gate would otherwise pay: on a
+       million-gate sweep those throwaway arrays were a measurable slice
+       of the minor-heap churn that serializes parallel domains on GC.
+       One scratch per worker — never shared across domains. *)
+    type scratch = D.state array array ref
+
+    let circuit t = t.circuit
+    let scratch _ : scratch = ref [||]
+    let seed t _ id = t.per_net.(id) <- D.source id
+
+    let operand_buf (scratch : scratch) n init =
+      let tbl =
+        if Array.length !scratch <= n then begin
+          let tbl = Array.make (n + 1) [||] in
+          Array.blit !scratch 0 tbl 0 (Array.length !scratch);
+          scratch := tbl;
+          tbl
+        end
+        else !scratch
+      in
+      if Array.length tbl.(n) <> n then tbl.(n) <- Array.make n init;
+      tbl.(n)
+
+    (* One gate of the propagation, reading operands from [per_net] and
+       writing its own slot.  Gates within one level never read each
+       other, so a whole level can run this step concurrently; [D.eval]
+       is pure and must not retain the operand buffer, which makes the
+       parallel schedule bit-identical to the sequential one. *)
+    let eval t scratch k =
+      let g = t.topo.(k) in
+      match Circuit.driver t.circuit g with
+      | Circuit.Gate { inputs; _ } as driver ->
+        let per_net = t.per_net in
+        let n = Array.length inputs in
+        (* finalize rejects zero-arity gates, so [inputs.(0)] exists *)
+        let ops = operand_buf scratch n per_net.(inputs.(0)) in
+        for j = 0 to n - 1 do
+          ops.(j) <- per_net.(inputs.(j))
+        done;
+        per_net.(g) <- D.eval t.circuit g driver ops
+      | Circuit.Input | Circuit.Dff_output _ -> assert false
+  end
+
+  module S = Sweep (K)
+
+  let kernel circuit per_net = { K.circuit; topo = Circuit.topo_gates circuit; per_net }
+
+  let run ?domains circuit =
+    (* the fill value is arbitrary: every net is either a source
+       (seeded by the sweep) or a gate (written before it is ever
+       read); a source-free circuit is rejected by the sweep unless it
+       is empty *)
+    let per_net =
+      match Circuit.sources circuit with
+      | s0 :: _ -> Array.make (Circuit.num_nets circuit) (D.source s0)
+      | [] -> [||]
+    in
+    S.run ?domains (kernel circuit per_net);
     { circuit; per_net }
+
+  let update r ~changed =
+    let per_net = Array.copy r.per_net in
+    S.update (kernel r.circuit per_net) ~changed;
+    { circuit = r.circuit; per_net }
 end

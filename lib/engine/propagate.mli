@@ -4,19 +4,22 @@
     propagation, min/max SSTA, corner STA, bounds-SSTA, canonical-form
     SSTA and interval/affine STA — is the same traversal: seed the
     sources, then fold each gate's operand states into its output state
-    in topological order.  This module implements that traversal exactly
-    once, functorized over the *propagation domain* (the per-net state
-    and the per-gate transfer function), and gives every instantiation
+    in topological order.  {!Sweep} schedules that traversal exactly
+    once, over a {!KERNEL} that evaluates one gate, and provides
 
     - the sequential topological sweep,
     - the levelized domain-parallel sweep ({!Spsta_netlist.Circuit.gates_by_level}
       + the persistent worker pool behind {!Spsta_util.Parallel.run_chunks}:
       wide levels are cut into chunks claimed through an atomic work
       index, runs of narrow levels are fused into one sequential batch),
-      bit-identical to the sequential one at every domain count,
-    - dirty-cone incremental {!Make.update} via fanout marking, with
-      re-evaluation cost proportional to the cone, and
-    - per-level timing / gate-count instrumentation hooks. *)
+      bit-identical to the sequential one at every domain count, and
+    - dirty-cone incremental update via fanout marking, with
+      re-evaluation cost proportional to the cone.
+
+    {!Make} is the kernel for boxed per-net states, functorized over the
+    {i propagation domain} (the per-net state and the per-gate transfer
+    function); [Flat] holds the allocation-free kernels of the two
+    SSTA-shaped domains. *)
 
 type 'state result = {
   circuit : Spsta_netlist.Circuit.t;
@@ -27,12 +30,6 @@ type 'state result = {
     interchangeable (analyzers rebuild their domain per call, closing
     over per-call parameters, and feed an earlier [analyze] result to a
     later [update]). *)
-
-type level_stat = {
-  level : int;  (** logic level just evaluated *)
-  gates : int;  (** number of gates at that level *)
-  elapsed_s : float;  (** wall-clock seconds spent on the level *)
-}
 
 module type DOMAIN = sig
   type state
@@ -56,16 +53,6 @@ module type DOMAIN = sig
       buffer the engine refills for every gate — read it eagerly during
       the call and never retain it. *)
 end
-
-val dirty_cone :
-  Spsta_netlist.Circuit.t -> changed:Spsta_netlist.Circuit.id list -> Spsta_netlist.Circuit.id array
-(** The union of the combinational fanout cones of [changed]: every
-    gate-driven net reachable from a changed net without crossing a
-    register boundary (a flip-flop Q net is a timing source — its seed
-    does not read the D arrival), sorted by topological position so
-    replaying the array reproduces exactly the sequential sweep's
-    evaluation order.  O(cone log cone).  The marking pass behind both
-    {!Make.update} and the flat kernels' updates ({!Flat}). *)
 
 (** Engine-wired invariant sanitizer: wrap any {!DOMAIN} so that every
     state the engine produces — each source seed and each gate output —
@@ -121,14 +108,35 @@ module Sanitize : sig
       {!Violation} located at the offending net. *)
 end
 
-module Make (D : DOMAIN) : sig
-  val run :
-    ?domains:int ->
-    ?instrument:(level_stat -> unit) ->
-    Spsta_netlist.Circuit.t ->
-    D.state result
-  (** Full propagation: seed every source with {!DOMAIN.source}, then
-      evaluate every gate with {!DOMAIN.eval} in dependency order.
+(** A per-gate evaluation step for {!Sweep}.  Gate [k] is the gate at
+    topological position [k] ({!Spsta_netlist.Circuit.topo_position},
+    so [Circuit.topo_gates circuit].(k) is the net it drives). *)
+module type KERNEL = sig
+  type t
+  (** The propagation in progress: circuit, per-net state, parameters. *)
+
+  type scratch
+  (** Per-worker buffers — never shared across domains. *)
+
+  val circuit : t -> Spsta_netlist.Circuit.t
+  val scratch : t -> scratch
+
+  val seed : t -> scratch -> Spsta_netlist.Circuit.id -> unit
+  (** Write the state of a source net. *)
+
+  val eval : t -> scratch -> int -> unit
+  (** Evaluate gate [k], reading its operands' states and writing its
+      own.  Gates of one level never read each other, so a level may be
+      evaluated concurrently; keeping [eval] a pure function of the
+      operand states is what makes the parallel schedule bit-identical
+      to the sequential one. *)
+end
+
+(** The levelized scheduler. *)
+module Sweep (K : KERNEL) : sig
+  val run : ?domains:int -> K.t -> unit
+  (** Seed every source, then evaluate every gate exactly once, each
+      after all of its operands.
 
       [domains] (default 1) evaluates each logic level's gates across
       that many domains of the persistent {!Spsta_util.Parallel} pool
@@ -140,32 +148,37 @@ module Make (D : DOMAIN) : sig
       index.  The cutoff, fusion and chunking affect scheduling only,
       never values: results are bit-identical to the sequential
       traversal at every domain count.  Raises [Invalid_argument] if
-      [domains < 1].
+      [domains < 1], or if the circuit has nets but no sources. *)
 
-      [instrument] is called once per logic level, in ascending level
-      order, with the level's gate count and wall-clock time.  Supplying
-      it forces the levelized traversal even at [domains = 1] (results
-      are unchanged — any topological order yields the same states). *)
-
-  val update :
-    D.state result ->
-    changed:Spsta_netlist.Circuit.id list ->
-    D.state result
+  val update : K.t -> changed:Spsta_netlist.Circuit.id list -> unit
   (** Incremental re-propagation after the sources in [changed] (or the
-      domain parameters affecting them) changed: marks the union of the
+      kernel parameters affecting them) changed: marks the union of the
       combinational fanout cones of [changed], collecting the dirty
       gates as it goes, re-seeds the changed sources and re-evaluates
-      exactly the dirty gates in the sequential evaluation order (sorted
-      by topo position) — the work is O(cone), never a scan of the whole
+      exactly the dirty gates, once each, in the sequential evaluation
+      order — the work is O(cone log cone), never a scan of the whole
       gate list, so update cost tracks the cone size even on
       million-gate circuits.
       Marking stops at register boundaries — a flip-flop Q net is a
       source whose seed does not read the D arrival, so a dirty D net
       leaves the Q side untouched; callers whose seed itself changed (a
       source with new statistics, a Q net between sequential
-      iterations) list that net in [changed] directly.  States outside
-      the cones are physically shared with the input result, which is
-      not mutated.  Equivalent to a full {!run} with the updated domain
+      iterations) list that net in [changed] directly. *)
+end
+
+module Make (D : DOMAIN) : sig
+  val run : ?domains:int -> Spsta_netlist.Circuit.t -> D.state result
+  (** Full propagation ({!Sweep.run}): seed every source with
+      {!DOMAIN.source}, then evaluate every gate with {!DOMAIN.eval} in
+      dependency order. *)
+
+  val update :
+    D.state result ->
+    changed:Spsta_netlist.Circuit.id list ->
+    D.state result
+  (** {!Sweep.update} on a copy of the result: states outside the cones
+      are physically shared with the input result, which is not
+      mutated.  Equivalent to a full {!run} with the updated domain
       whenever the domain's [source]/[eval] differ from the original
       run's only at the changed nets. *)
 end

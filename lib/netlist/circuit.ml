@@ -13,15 +13,12 @@ let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_circuit s)) fmt
    must not chase [driver] record pointers: gate [k] (in topological
    order, the [topo] order) drives net [gate_net.(k)], computes kind
    [Spsta_logic.Gate_kind.of_code kind_code.(k)] and reads operand nets
-   [fanin.(fanin_off.(k)) .. fanin.(fanin_off.(k+1) - 1)].  [level_off]
-   cuts the gate index space into the same groups as [by_level]:
-   group [l] is gates [level_off.(l) .. level_off.(l+1) - 1]. *)
+   [fanin.(fanin_off.(k)) .. fanin.(fanin_off.(k+1) - 1)]. *)
 type csr = {
   gate_net : id array;
   kind_code : int array;
   fanin_off : int array; (* length num_gates + 1 *)
   fanin : id array;
-  level_off : int array; (* length num_groups + 1 *)
   max_fanin : int;
 }
 
@@ -228,8 +225,10 @@ module Builder = struct
       topo;
     let depth = Array.fold_left max 0 levels in
     (* gates grouped by level: within a level no gate feeds another, so
-       the whole group can be evaluated concurrently; keeping topo order
-       inside each group preserves the sequential evaluation order.
+       the whole group can be evaluated concurrently.  The FIFO
+       [topo_sort] pops nets in ascending level, so keeping topo order
+       inside each group makes the concatenated groups exactly [topo] —
+       the levelized scheduler relies on this.
        Counting passes + exact-size arrays, like the fanout map below:
        the intermediate per-bucket lists were pure allocation churn. *)
     let by_level =
@@ -399,13 +398,7 @@ let build_csr t =
       | Gate { inputs; _ } -> Array.blit inputs 0 fanin fanin_off.(k) (Array.length inputs)
       | Input | Dff_output _ -> assert false)
     gate_net;
-  (* [by_level] concatenated equals [topo], so the groups are contiguous
-     gate-index ranges *)
-  let level_off = Array.make (Array.length t.by_level + 1) 0 in
-  Array.iteri
-    (fun l gates -> level_off.(l + 1) <- level_off.(l) + Array.length gates)
-    t.by_level;
-  { gate_net; kind_code; fanin_off; fanin; level_off; max_fanin = !max_fanin }
+  { gate_net; kind_code; fanin_off; fanin; max_fanin = !max_fanin }
 
 let csr t =
   match t.csr with

@@ -86,7 +86,8 @@ val gates_by_level : t -> id array array
     order within each group.  Gates in one group depend only on earlier
     groups (and on sources), never on each other, so a group is a unit of
     safe concurrent evaluation.  Empty levels are omitted; concatenating
-    the groups is a valid evaluation order covering every gate once. *)
+    the groups gives exactly {!topo_gates}, so each group is a contiguous
+    range of {!topo_position}s. *)
 
 type csr = {
   gate_net : id array;  (** = {!topo_gates}: gate [k] drives [gate_net.(k)] *)
@@ -95,9 +96,6 @@ type csr = {
       (** length [num_gates + 1]; gate [k] reads
           [fanin.(fanin_off.(k)) .. fanin.(fanin_off.(k+1) - 1)] *)
   fanin : id array;  (** concatenated fan-in net ids, in declaration order *)
-  level_off : int array;
-      (** length [Array.length (gates_by_level t) + 1]; group [l] of
-          {!gates_by_level} is gates [level_off.(l) .. level_off.(l+1) - 1] *)
   max_fanin : int;
 }
 (** Flat CSR view of the combinational gates, for kernels that walk the

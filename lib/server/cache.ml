@@ -7,7 +7,8 @@
      circuit argument (suite name or file path), each stored with a content
      digest so memoised results survive cache eviction and reload;
    - a result memo table: encoded JSON payloads keyed by
-     (circuit digest, engine, input case, delay/engine params).
+     (circuit digest, engine, input case, delay/engine params), filled
+     single-flight — concurrent requests for one key compute it once.
 
    Repeated what-if queries over the same netlist — the dominant SPSTA
    workload shape — then pay the parse cost once and the analysis cost once
@@ -77,23 +78,29 @@ module Lru = struct
         done;
         Hashtbl.replace t.table key { value; tick = t.clock })
 
+  (* for lookups answered outside [find] (a coalesced memo request) *)
+  let count t ~hit = Atomic.incr (if hit then t.hits else t.misses)
+
   let length t = locked t (fun () -> Hashtbl.length t.table)
   let hits t = Atomic.get t.hits
   let misses t = Atomic.get t.misses
   let evictions t = Atomic.get t.evictions
 
-  let counters_json t =
+  let counters t =
     locked t (fun () ->
-        Json.Obj
-          [ ("size", Json.int (Hashtbl.length t.table)); ("capacity", Json.int t.capacity);
-            ("hits", Json.int (Atomic.get t.hits)); ("misses", Json.int (Atomic.get t.misses));
-            ("evictions", Json.int (Atomic.get t.evictions)) ])
+        [ ("size", Json.int (Hashtbl.length t.table)); ("capacity", Json.int t.capacity);
+          ("hits", Json.int (Atomic.get t.hits)); ("misses", Json.int (Atomic.get t.misses));
+          ("evictions", Json.int (Atomic.get t.evictions)) ])
 end
 
 module Circuit = Spsta_netlist.Circuit
 module Bench_io = Spsta_netlist.Bench_io
 
 type loaded = { circuit : Circuit.t; digest : string }
+
+(* A memo key being computed by its first requester (the leader);
+   [outcome] is set once, under [inflight_mutex]. *)
+type pending = { mutable outcome : (Json.t, exn) result option }
 
 type t = {
   circuits : loaded Lru.t;
@@ -103,6 +110,10 @@ type t = {
       (* persistent backing for the result memo: consulted on LRU miss,
          appended on store, so memoised payloads survive process
          restarts and are shared by every instance on the same path *)
+  inflight : (string, pending) Hashtbl.t;
+  inflight_mutex : Mutex.t;
+  inflight_done : Condition.t;
+  coalesced : int Atomic.t;
 }
 
 exception Load_error of { code : Protocol.error_code; message : string }
@@ -118,7 +129,8 @@ let create ?(loader = default_loader) ?store ?(circuit_capacity = 32)
     ?(result_capacity = 512) () =
   { circuits = Lru.create ~capacity:circuit_capacity;
     results = Lru.create ~capacity:result_capacity;
-    loader; store }
+    loader; store; inflight = Hashtbl.create 16; inflight_mutex = Mutex.create ();
+    inflight_done = Condition.create (); coalesced = Atomic.make 0 }
 
 let load_circuit t name =
   match Lru.find t.circuits name with
@@ -190,32 +202,88 @@ let memo_key ~digest (kind : Protocol.kind) =
   | Protocol.Shutdown ->
     invalid_arg "Cache.memo_key: not a cacheable kind"
 
-(* LRU first, then the persistent store; a store hit is promoted into
-   the LRU so repeats stay in memory. *)
+(* The persistent store behind an LRU miss; a store hit is promoted
+   into the LRU so repeats stay in memory. *)
+let find_stored t key =
+  match t.store with
+  | None -> None
+  | Some store -> (
+    match Store.find store key with
+    | Some payload ->
+      Lru.add t.results key payload;
+      Some payload
+    | None -> None )
+
 let find_result t key =
-  match Lru.find t.results key with
-  | Some _ as hit -> hit
-  | None -> (
-    match t.store with
-    | None -> None
-    | Some store -> (
-      match Store.find store key with
-      | Some payload ->
-        Lru.add t.results key payload;
-        Some payload
-      | None -> None ) )
+  match Lru.find t.results key with Some _ as hit -> hit | None -> find_stored t key
 
 let store_result t key payload =
   Lru.add t.results key payload;
   match t.store with None -> () | Some store -> Store.add store key payload
 
+(* Single-flight memo lookup: the first requester of a key missing from
+   the LRU becomes its leader; same-key requests arriving meanwhile wait
+   for the leader's outcome instead of computing again.  Each waiter
+   counts as [coalesced] when it joins, then as a memo hit if the leader
+   succeeded and a miss if it failed.  The leader consults the store,
+   else computes; only it writes the LRU and the store.  Any exception
+   on the leader's path — from the compute or from the store write —
+   reaches every waiter and leaves nothing in flight.  Waiting never
+   cancels the leader: pool deadlines are checked per job, after it
+   returns.
+
+   Only the LRU is read under [inflight_mutex], so an LRU hit never
+   waits behind another key's store I/O.  The leader writes the LRU
+   before it leaves [inflight], so a requester holding [inflight_mutex]
+   finds a key either in flight or in the LRU, never in between. *)
+let memo t key compute =
+  Mutex.lock t.inflight_mutex;
+  match Hashtbl.find_opt t.inflight key with
+  | Some p ->
+    Atomic.incr t.coalesced;
+    while Option.is_none p.outcome do
+      Condition.wait t.inflight_done t.inflight_mutex
+    done;
+    Mutex.unlock t.inflight_mutex;
+    let outcome = Option.get p.outcome in
+    Lru.count t.results ~hit:(Result.is_ok outcome);
+    (match outcome with Ok payload -> payload | Error e -> raise e)
+  | None -> (
+    match Lru.find t.results key with
+    | Some payload ->
+      Mutex.unlock t.inflight_mutex;
+      payload
+    | None ->
+      let p = { outcome = None } in
+      Hashtbl.replace t.inflight key p;
+      Mutex.unlock t.inflight_mutex;
+      let outcome =
+        try
+          match find_stored t key with
+          | Some payload -> Ok payload
+          | None ->
+            let payload = compute () in
+            store_result t key payload;
+            Ok payload
+        with e -> Error e
+      in
+      Mutex.lock t.inflight_mutex;
+      p.outcome <- Some outcome;
+      Hashtbl.remove t.inflight key;
+      Condition.broadcast t.inflight_done;
+      Mutex.unlock t.inflight_mutex;
+      (match outcome with Ok payload -> payload | Error e -> raise e))
+
 let store t = t.store
 
 let stats_json t =
+  let coalesced = ("coalesced", Json.int (Atomic.get t.coalesced)) in
   Json.Obj
-    ( [ ("circuits", Lru.counters_json t.circuits); ("results", Lru.counters_json t.results) ]
+    ( [ ("circuits", Json.Obj (Lru.counters t.circuits));
+        ("results", Json.Obj (Lru.counters t.results @ [ coalesced ])) ]
     @ match t.store with None -> [] | Some s -> [ ("store", Store.stats_json s) ] )
 
 let result_hits t = Lru.hits t.results
 let result_misses t = Lru.misses t.results
+let result_coalesced t = Atomic.get t.coalesced
 let circuit_hits t = Lru.hits t.circuits

@@ -236,11 +236,11 @@ module Make (B : Top.BACKEND) = struct
       | Circuit.Input | Circuit.Dff_output _ -> assert false
 
   let analyze ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin ?check
-      ?domains ?instrument circuit ~spec =
+      ?domains circuit ~spec =
     let eval = gate_eval ?gate_delay ?delay_sigma ?delay_of ?delay_rf ?mis ?max_enumerated_fanin () in
     let module D = (val checked_domain ?check circuit (domain ~spec eval)) in
     let module E = Propagate.Make (D) in
-    E.run ?domains ?instrument circuit
+    E.run ?domains circuit
 
   let circuit (r : result) = r.Propagate.circuit
   let signal (r : result) id = r.Propagate.per_net.(id)

@@ -45,7 +45,6 @@ module Make (B : Top.BACKEND) : sig
     ?max_enumerated_fanin:int ->
     ?check:bool ->
     ?domains:int ->
-    ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
     Spsta_netlist.Circuit.t ->
     spec:(Spsta_netlist.Circuit.id -> Spsta_sim.Input_spec.t) ->
     result
@@ -60,9 +59,6 @@ module Make (B : Top.BACKEND) : sig
       other and each gate step is a pure function of its operands, so
       the result is bit-identical to the sequential traversal at every
       domain count.  Raises [Invalid_argument] if [domains < 1].
-
-      [instrument] receives per-level gate counts and wall-clock timings
-      (see {!Spsta_engine.Propagate.level_stat}).
 
       [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
       verifies every per-net signal the engine produces — four-value

@@ -31,7 +31,7 @@ let band_check : (float array * float array) Propagate.Sanitize.check =
     scan 0
 
 let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?horizon ?(input_arrival = Normal.standard)
-    ?check ?domains ?instrument circuit =
+    ?check ?domains circuit =
   let depth = float_of_int (Circuit.depth circuit) in
   let horizon =
     match horizon with
@@ -81,7 +81,7 @@ let analyze ?(gate_delay = 1.0) ?(dt = 0.1) ?horizon ?(input_arrival = Normal.st
     else dom
   in
   let module E = Propagate.Make ((val dom)) in
-  { grid; bands = E.run ?domains ?instrument circuit }
+  { grid; bands = E.run ?domains circuit }
 
 let band r id =
   let lower, upper = r.bands.Propagate.per_net.(id) in

@@ -38,7 +38,6 @@ val analyze :
   ?input_arrival:Spsta_dist.Normal.t ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   Spsta_netlist.Circuit.t ->
   result
 (** [dt] (default 0.1) and [horizon] (default: depth + 6 sigma slack)
@@ -47,8 +46,7 @@ val analyze :
     Traversal comes from {!Spsta_engine.Propagate}: [domains]
     (default 1) evaluates each logic level's gates across that many
     OCaml domains with results bit-identical to the sequential
-    traversal; [instrument] receives per-level gate counts and
-    wall-clock timings.  Raises [Invalid_argument] if [domains < 1].
+    traversal.  Raises [Invalid_argument] if [domains < 1].
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies both tabulated cdf bounds stay monotone probabilities and

@@ -97,10 +97,10 @@ let checked_domain ?check circuit dom =
 
 (* --- record engine ------------------------------------------------- *)
 
-let run_record ?mask ~delay_rf_of ~source ?check ?domains ?instrument circuit =
+let run_record ?mask ~delay_rf_of ~source ?check ?domains circuit =
   let module D = (val checked_domain ?check circuit (domain ?mask ~source ~delay_rf_of ())) in
   let module E = Propagate.Make (D) in
-  Boxed (E.run ?domains ?instrument circuit)
+  Boxed (E.run ?domains circuit)
 
 let update_record ~delay_rf_of ~source ?check r ~changed =
   let module D =
@@ -154,59 +154,57 @@ let flat_delay_rf delay_rf g (b : Flat.rf_buf) =
   b.fall_mu <- fall;
   b.fall_sig <- 0.0
 
-let run_flat ~delay ~source ?check ?domains ?instrument circuit =
+let run_flat ~delay ~source ?check ?domains circuit =
   Flat_r
-    (Flat.Ssta.run ~source:(flat_source source) ~delay ?check:(flat_check check) ?domains
-       ?instrument circuit)
+    (Flat.Ssta.run ~source:(flat_source source) ~delay ?check:(flat_check check) ?domains circuit)
 
 (* --- entry points -------------------------------------------------- *)
 
 let analyze ?(gate_delay = 1.0) ?input_arrival ?input_arrival_of ?constant_mask ?check
-    ?domains ?instrument ?(engine = `Flat) circuit =
+    ?domains ?(engine = `Flat) circuit =
   validate_mask circuit constant_mask;
   let input_arrival = Option.value input_arrival ~default:default_input in
   let source = source_of ~input_arrival ~input_arrival_of in
   match (engine, constant_mask) with
   | `Flat, None ->
-    run_flat ~delay:(flat_delay_uniform gate_delay) ~source ?check ?domains ?instrument circuit
+    run_flat ~delay:(flat_delay_uniform gate_delay) ~source ?check ?domains circuit
   | (`Record, _ | `Flat, Some _) ->
     (* a mask changes the per-gate transfer, which only the record
        engine's first-class domain can express — force it *)
     let delay = Normal.make ~mu:gate_delay ~sigma:0.0 in
     run_record ?mask:constant_mask
       ~delay_rf_of:(fun _ -> (delay, delay))
-      ~source ?check ?domains ?instrument circuit
+      ~source ?check ?domains circuit
 
-let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains ?instrument
+let analyze_variational ~gate_delay ?input_arrival ?input_arrival_of ?check ?domains
     ?(engine = `Flat) circuit =
   let input_arrival = Option.value input_arrival ~default:default_input in
   let source = source_of ~input_arrival ~input_arrival_of in
   match engine with
   | `Flat ->
-    run_flat ~delay:(flat_delay_variational gate_delay) ~source ?check ?domains ?instrument
-      circuit
+    run_flat ~delay:(flat_delay_variational gate_delay) ~source ?check ?domains circuit
   | `Record ->
     run_record
       ~delay_rf_of:(fun g ->
         let d = gate_delay g in
         (d, d))
-      ~source ?check ?domains ?instrument circuit
+      ~source ?check ?domains circuit
 
 let analyze_rf ~delay_rf ?input_arrival ?input_arrival_of ?constant_mask ?check ?domains
-    ?instrument ?(engine = `Flat) circuit =
+    ?(engine = `Flat) circuit =
   validate_mask circuit constant_mask;
   let input_arrival = Option.value input_arrival ~default:default_input in
   let source = source_of ~input_arrival ~input_arrival_of in
   match (engine, constant_mask) with
   | `Flat, None ->
-    run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains ?instrument circuit
+    run_flat ~delay:(flat_delay_rf delay_rf) ~source ?check ?domains circuit
   | (`Record, _ | `Flat, Some _) ->
     let to_normal d = Normal.make ~mu:d ~sigma:0.0 in
     run_record ?mask:constant_mask
       ~delay_rf_of:(fun g ->
         let rise, fall = delay_rf g in
         (to_normal rise, to_normal fall))
-      ~source ?check ?domains ?instrument circuit
+      ~source ?check ?domains circuit
 
 (* Updates follow the representation of the result they refine, so a
    record-engine oracle stays on the record engine through a whole

@@ -23,7 +23,6 @@ val analyze :
   ?constant_mask:Bytes.t ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -57,9 +56,6 @@ val analyze :
     traversal at every domain count.  Raises [Invalid_argument] if
     [domains < 1].
 
-    [instrument] receives per-level gate counts and wall-clock timings
-    (see {!Spsta_engine.Propagate.level_stat}).
-
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every propagated arrival pair stays finite with
     non-negative sigmas, raising
@@ -73,7 +69,6 @@ val analyze_variational :
   ?input_arrival_of:(Spsta_netlist.Circuit.id -> arrival) ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -87,7 +82,6 @@ val analyze_rf :
   ?constant_mask:Bytes.t ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result

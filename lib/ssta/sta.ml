@@ -64,18 +64,18 @@ let flat_source source id (b : Flat.Sta.buf) =
   b.b_late <- s.latest
 
 let analyze ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
-    ?input_bounds_of ?check ?domains ?instrument ?(engine = `Flat) circuit =
+    ?input_bounds_of ?check ?domains ?(engine = `Flat) circuit =
   let source = source_of ~input_bounds ~input_bounds_of in
   let gate_delay_of = resolve_delay ~gate_delay ~gate_delay_of in
   match engine with
   | `Flat ->
     Flat_r
       (Flat.Sta.run ~source:(flat_source source) ~delay:gate_delay_of
-         ?check:(flat_check check) ?domains ?instrument circuit)
+         ?check:(flat_check check) ?domains circuit)
   | `Record ->
     let module D = (val checked_domain ?check circuit (domain ~source ~gate_delay_of)) in
     let module E = Propagate.Make (D) in
-    Boxed (E.run ?domains ?instrument circuit)
+    Boxed (E.run ?domains circuit)
 
 let update ?(gate_delay = 1.0) ?gate_delay_of ?(input_bounds = default_input)
     ?input_bounds_of ?check r ~changed =

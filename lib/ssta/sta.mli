@@ -16,7 +16,6 @@ val analyze :
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
@@ -37,8 +36,7 @@ val analyze :
     [domains] (default 1) evaluates each logic level's gates across that
     many OCaml domains; results are bit-identical to the sequential
     traversal at every domain count.  Raises [Invalid_argument] if
-    [domains < 1].  [instrument] receives per-level gate counts and
-    wall-clock timings.
+    [domains < 1].
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every propagated window stays a finite, ordered interval,

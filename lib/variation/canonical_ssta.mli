@@ -13,7 +13,6 @@ val analyze :
   ?input_sigma:float ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   Param_model.t ->
   Param_model.placement ->
   Spsta_netlist.Circuit.t ->
@@ -25,8 +24,7 @@ val analyze :
     Traversal comes from {!Spsta_engine.Propagate}: [domains]
     (default 1) evaluates each logic level's gates across that many
     OCaml domains with results bit-identical to the sequential
-    traversal; [instrument] receives per-level gate counts and
-    wall-clock timings.  Raises [Invalid_argument] if [domains < 1].
+    traversal.  Raises [Invalid_argument] if [domains < 1].
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})
     verifies every canonical form keeps a finite mean, finite

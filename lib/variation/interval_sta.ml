@@ -55,7 +55,7 @@ let state_check : state Propagate.Sanitize.check =
     else None
 
 let analyze ?(gate_delay = 1.0) ?(delay_radius = 0.0) ?(input_radius = 3.0) ?check ?domains
-    ?instrument circuit =
+    circuit =
   if delay_radius < 0.0 || input_radius < 0.0 then
     invalid_arg "Interval_sta.analyze: negative radius";
   let base = symbol_bases circuit in
@@ -92,7 +92,7 @@ let analyze ?(gate_delay = 1.0) ?(delay_radius = 0.0) ?(input_radius = 3.0) ?che
     else dom
   in
   let module E = Propagate.Make ((val dom)) in
-  E.run ?domains ?instrument circuit
+  E.run ?domains circuit
 
 let arrival (r : result) id = r.Propagate.per_net.(id).affine
 

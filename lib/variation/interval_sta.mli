@@ -19,7 +19,6 @@ val analyze :
   ?input_radius:float ->
   ?check:bool ->
   ?domains:int ->
-  ?instrument:(Spsta_engine.Propagate.level_stat -> unit) ->
   Spsta_netlist.Circuit.t ->
   result
 (** Source arrivals are 0 +- [input_radius] (default 3.0, the +-3 sigma
@@ -29,8 +28,7 @@ val analyze :
     Traversal comes from {!Spsta_engine.Propagate}.  Each net draws its
     noise symbols from a private deterministic id range, so [domains]
     (default 1) parallelism is race-free and bit-identical to the
-    sequential traversal at every domain count; [instrument] receives
-    per-level gate counts and wall-clock timings.  Raises
+    sequential traversal at every domain count.  Raises
     [Invalid_argument] if [domains < 1].
 
     [check] (default: {!Spsta_engine.Propagate.Sanitize.enabled_by_env})

@@ -57,6 +57,9 @@ let test_gates_by_level () =
     let flat = Array.concat (Array.to_list groups) in
     Alcotest.(check int) "covers every gate" (Array.length (Circuit.topo_gates c))
       (Array.length flat);
+    (* the levelized scheduler addresses a level as a contiguous range
+       of topo positions *)
+    Alcotest.(check (array int)) "concatenation is topo_gates" (Circuit.topo_gates c) flat;
     let seen = Hashtbl.create 16 in
     Array.iter
       (fun g ->

@@ -298,6 +298,147 @@ let test_batch_error_isolation () =
       "ok:stats" ]
     codes
 
+(* ---------- single-flight memo ---------- *)
+
+(* A counting stand-in for an analysis: the leader holds the key in
+   flight until every other worker has joined it as a waiter, so each
+   burst really is concurrent (bounded, in case coalescing is broken). *)
+let counting_compute cache ~waiters ~computes result () =
+  Atomic.incr computes;
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  while Cache.result_coalesced cache < waiters && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  result ()
+
+(* Fails instead of hanging if a request never returns (a wedged
+   waiter); the stuck pool is then left behind. *)
+let memo_burst ~workers ~burst cache compute =
+  let pool = Pool.create ~workers ~queue_capacity:(2 * burst) () in
+  let finished = Atomic.make 0 in
+  let tickets =
+    List.init burst (fun _ ->
+        Pool.submit pool (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.incr finished)
+              (fun () -> Cache.memo cache "k" compute)))
+  in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get finished < burst && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  if Atomic.get finished < burst then Alcotest.fail "a memo request never returned";
+  let outcomes = List.map Pool.await tickets in
+  Pool.shutdown pool;
+  outcomes
+
+let test_memo_single_flight () =
+  List.iter
+    (fun workers ->
+      let what fmt = Printf.sprintf ("workers=%d: " ^^ fmt) workers in
+      let cache = Cache.create () in
+      let computes = Atomic.make 0 in
+      let payload = Json.Obj [ ("answer", Json.int 42) ] in
+      let compute =
+        counting_compute cache ~waiters:(workers - 1) ~computes (fun () -> payload)
+      in
+      let burst = 4 * workers in
+      List.iter
+        (function
+          | Pool.Done p ->
+            Alcotest.(check string) (what "payload") (Json.to_string payload) (Json.to_string p)
+          | _ -> Alcotest.fail (what "memo request failed"))
+        (memo_burst ~workers ~burst cache compute);
+      Alcotest.(check int) (what "computed once") 1 (Atomic.get computes);
+      Alcotest.(check int) (what "one miss") 1 (Cache.result_misses cache);
+      Alcotest.(check int) (what "every repeat is a hit") (burst - 1) (Cache.result_hits cache);
+      Alcotest.(check bool) (what "every other worker coalesced") true
+        (Cache.result_coalesced cache >= workers - 1))
+    [ 1; 2; 3; 4 ]
+
+let test_memo_error_reaches_waiters () =
+  let workers = 3 in
+  let cache = Cache.create () in
+  let computes = Atomic.make 0 in
+  let failing =
+    counting_compute cache ~waiters:(workers - 1) ~computes (fun () -> failwith "boom")
+  in
+  List.iter
+    (function
+      | Pool.Failed (Failure m) -> Alcotest.(check string) "every waiter sees the error" "boom" m
+      | _ -> Alcotest.fail "expected the leader's error")
+    (memo_burst ~workers ~burst:workers cache failing);
+  Alcotest.(check int) "failing compute ran once" 1 (Atomic.get computes);
+  Alcotest.(check int) "coalesced waiters" (workers - 1) (Cache.result_coalesced cache);
+  Alcotest.(check int) "errors are not hits" 0 (Cache.result_hits cache);
+  (* nothing was memoised: the next request computes afresh *)
+  let payload = Json.int 7 in
+  Alcotest.(check string) "recomputed after the error" "7"
+    (Json.to_string (Cache.memo cache "k" (fun () -> Atomic.incr computes; payload)));
+  Alcotest.(check int) "second compute" 2 (Atomic.get computes)
+
+(* the leader's store write fails after its compute succeeded (the
+   store's file is closed under it): every waiter still gets the error,
+   nothing stays in flight, and a later request completes *)
+let test_memo_store_failure_reaches_waiters () =
+  let workers = 3 in
+  let path = Filename.temp_file "spsta_store" ".jsonl" in
+  Sys.remove path;
+  let store = Spsta_server.Store.open_ ~fsync:false path in
+  Spsta_server.Store.close store;
+  let cache = Cache.create ~store () in
+  let computes = Atomic.make 0 in
+  let payload = Json.int 7 in
+  let compute = counting_compute cache ~waiters:(workers - 1) ~computes (fun () -> payload) in
+  List.iter
+    (function
+      | Pool.Failed (Unix.Unix_error _) -> ()
+      | _ -> Alcotest.fail "expected the leader's store error")
+    (memo_burst ~workers ~burst:workers cache compute);
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  Alcotest.(check string) "later request completes" "7"
+    (Json.to_string (Cache.memo cache "k" (fun () -> Atomic.incr computes; payload)));
+  if Sys.file_exists path then Sys.remove path
+
+(* a key held only by the store is served by the leader without computing *)
+let test_memo_reads_store () =
+  let path = Filename.temp_file "spsta_store" ".jsonl" in
+  Sys.remove path;
+  let store = Spsta_server.Store.open_ ~fsync:false path in
+  Spsta_server.Store.add store "k" (Json.int 7);
+  let cache = Cache.create ~store () in
+  Alcotest.(check string) "store payload" "7"
+    (Json.to_string (Cache.memo cache "k" (fun () -> Alcotest.fail "computed a stored key")));
+  Alcotest.(check int) "store hit" 1 (Spsta_server.Store.hits store);
+  Spsta_server.Store.close store;
+  Sys.remove path
+
+(* end to end: a same-key burst through the server computes once at any
+   pool size, and [stats] reports the repeats as hits *)
+let test_batch_burst_computes_once () =
+  List.iter
+    (fun workers ->
+      let burst = 8 in
+      let lines =
+        List.init burst (fun i ->
+            line ~id:(Printf.sprintf "a%d" i) ~kind:"analyze" ~circuit:"s27" ())
+        @ [ "{\"id\":\"st\",\"kind\":\"stats\"}" ]
+      in
+      let _, responses = Server.run_batch ~config:(config ~workers) lines in
+      match List.rev responses with
+      | Protocol.Ok { kind = "stats"; result; _ } :: _ ->
+        let results = Option.bind (Json.member "cache" result) (Json.member "results") in
+        let counter name =
+          Option.bind results (Json.member name) |> Fun.flip Option.bind Json.to_int_opt
+        in
+        let what = Printf.sprintf "workers=%d: %s" workers in
+        Alcotest.(check (option int)) (what "one miss") (Some 1) (counter "misses");
+        Alcotest.(check (option int)) (what "repeats hit") (Some (burst - 1)) (counter "hits");
+        Alcotest.(check bool) (what "coalesced reported") true
+          (Option.is_some (counter "coalesced"))
+      | _ -> Alcotest.fail "last response is not stats")
+    [ 1; 2; 3; 4 ]
+
 let test_batch_stats_sees_traffic () =
   let lines =
     [ line ~id:"a1" ~kind:"analyze" ~circuit:"s27" ();
@@ -326,6 +467,12 @@ let suite =
   [
     Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
     Alcotest.test_case "lru replace" `Quick test_lru_replace;
+    Alcotest.test_case "memo single-flight at workers 1-4" `Quick test_memo_single_flight;
+    Alcotest.test_case "memo error reaches every waiter" `Quick test_memo_error_reaches_waiters;
+    Alcotest.test_case "memo store failure reaches every waiter" `Quick
+      test_memo_store_failure_reaches_waiters;
+    Alcotest.test_case "memo reads the store" `Quick test_memo_reads_store;
+    Alcotest.test_case "batch burst computes once" `Quick test_batch_burst_computes_once;
     Alcotest.test_case "cache load errors" `Quick test_cache_load_errors;
     Alcotest.test_case "cache digest stable" `Quick test_cache_digest_stable;
     Alcotest.test_case "pool results" `Quick test_pool_results;
