@@ -572,7 +572,7 @@ let json_bench_circuit ~mc_runs ~domains name =
   in
   let t_mc_par, _, n_mc_par =
     wall_best (fun () ->
-        Monte_carlo.simulate_parallel ~runs:mc_runs ~engine:`Scalar ~domains ~seed circuit ~spec)
+        Monte_carlo.simulate ~runs:mc_runs ~engine:`Scalar ~domains ~seed circuit ~spec)
   in
   let t_mc_packed, mc_packed, n_mc_packed =
     wall_best (fun () -> Monte_carlo.simulate ~runs:mc_runs ~engine:`Packed ~seed circuit ~spec)
@@ -916,9 +916,7 @@ let scale_smoke () =
     (Printf.sprintf "%d facts" (Static.total_facts s1));
   if !failed then exit 1
 
-(* ---------- regression tracking (lib/server/bench_track.ml) ---------- *)
-
-module Bench_track = Spsta_server.Bench_track
+(* ---------- regression tracking (bench/track/bench_track.ml) ---------- *)
 
 let read_doc path =
   let ic = open_in_bin path in

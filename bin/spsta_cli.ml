@@ -93,14 +93,6 @@ let domains_arg =
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
-let mc_engine_arg =
-  let doc =
-    "Monte Carlo engine: packed (bit-parallel, 64 trials per machine word) or scalar (one \
-     logic simulation per trial — the oracle).  Both return bit-identical statistics."
-  in
-  let engine = Arg.enum [ ("packed", `Packed); ("scalar", `Scalar) ] in
-  Arg.(value & opt engine `Packed & info [ "mc-engine" ] ~docv:"ENGINE" ~doc)
-
 let mc_domains_arg =
   let doc =
     "Worker domains for the Monte Carlo trial chunks (0 = one per available core).  \
@@ -369,13 +361,13 @@ let ssta_cmd =
   Cmd.v info Term.(const run $ circuit_arg $ domains_arg $ check_arg)
 
 let mc_cmd =
-  let run name case_str runs seed domains engine =
+  let run name case_str runs seed domains =
     let circuit = load_circuit name in
     let case = case_of_string case_str in
     let spec = Experiments.Workloads.spec_fn case in
     print_header circuit;
     let domains = resolve_domains domains in
-    let result = Monte_carlo.simulate ~runs ~seed ~engine ~domains circuit ~spec in
+    let result = Monte_carlo.simulate ~runs ~seed ~domains circuit ~spec in
     let table =
       Spsta_util.Table.create
         ~headers:[ "endpoint"; "P(r)"; "mu(r)"; "sigma(r)"; "P(f)"; "mu(f)"; "sigma(f)"; "SP" ]
@@ -399,8 +391,7 @@ let mc_cmd =
   in
   let info = Cmd.info "mc" ~doc:"Monte Carlo reference simulation" in
   Cmd.v info
-    Term.(const run $ circuit_arg $ case_arg $ runs_arg $ seed_arg $ mc_domains_arg
-          $ mc_engine_arg)
+    Term.(const run $ circuit_arg $ case_arg $ runs_arg $ seed_arg $ mc_domains_arg)
 
 let power_cmd =
   let run name case_str top =
@@ -1258,9 +1249,9 @@ let gen_cmd =
   Cmd.v info Term.(const run $ circuit_arg $ out_arg $ format_arg)
 
 let experiment_cmd =
-  let run id runs seed mc_engine mc_domains =
+  let run id runs seed mc_domains =
     let mc_domains = resolve_domains mc_domains in
-    match Experiments.Runner.run ~runs ~seed ~mc_engine ~mc_domains id with
+    match Experiments.Runner.run ~runs ~seed ~mc_domains id with
     | output -> print_string output
     | exception Not_found ->
       Printf.eprintf "error: unknown experiment %s (one of: %s)\n" id
@@ -1272,7 +1263,7 @@ let experiment_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let info = Cmd.info "experiment" ~doc:"Regenerate a paper table or figure" in
-  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_engine_arg $ mc_domains_arg)
+  Cmd.v info Term.(const run $ id_arg $ runs_arg $ seed_arg $ mc_domains_arg)
 
 let list_cmd =
   let run () =
@@ -1382,11 +1373,11 @@ let serve_cmd =
     let listen =
       if socket <> "" then Transport.Unix_socket socket
       else if port > 0 then Transport.Tcp port
-      else Transport.Stdio
+      else Transport.Stdio (Unix.stdin, Unix.stdout)
     in
     (* transport events are chatter on the stdio transport, where stderr
        already carries the final metrics block *)
-    let log = match listen with Transport.Stdio -> fun _ -> () | _ -> prerr_endline in
+    let log = match listen with Transport.Stdio _ -> fun _ -> () | _ -> prerr_endline in
     let t = Transport.run ~config ~log listen in
     prerr_string (Spsta_server.Metrics.render (Server.metrics t))
   in
@@ -1460,8 +1451,9 @@ let json_bool json key =
   | _ -> false
 
 (* Connect to a running server, or — with neither [--socket] nor
-   [--port] — spin up an in-process stdio server on a pipe pair, so
-   scripts and quick experiments need no separate process. *)
+   [--port] — run the stdio transport in-process on a pipe pair, so
+   scripts and quick experiments need no separate process.  Closing the
+   request pipe is the transport's EOF: it drains and returns. *)
 let session_connect config socket port =
   if socket <> "" then begin
     let ic, oc = Unix.open_connection (Unix.ADDR_UNIX socket) in
@@ -1476,9 +1468,10 @@ let session_connect config socket port =
     let resp_r, resp_w = Unix.pipe () in
     let server =
       Domain.spawn (fun () ->
-          let sic = Unix.in_channel_of_descr req_r in
-          let soc = Unix.out_channel_of_descr resp_w in
-          ignore (Server.serve ~config sic soc))
+          Fun.protect
+            ~finally:(fun () -> Unix.close req_r; Unix.close resp_w)
+            (fun () ->
+              ignore (Transport.run ~config ~signals:false (Transport.Stdio (req_r, resp_w)))))
     in
     let ic = Unix.in_channel_of_descr resp_r in
     let oc = Unix.out_channel_of_descr req_w in

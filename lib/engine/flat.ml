@@ -3,7 +3,7 @@ module Gate_kind = Spsta_logic.Gate_kind
 module Clark = Spsta_dist.Clark
 module FA = Float.Array
 
-(* Flat struct-of-arrays fast path for the SSTA-shaped domains.
+(* Flat struct-of-arrays fast path for min/max-separated SSTA.
 
    The record engine ([Propagate.Make]) pays boxed prices per gate: an
    operand array, several [Normal.t]/state records, a closure result —
@@ -18,7 +18,7 @@ module FA = Float.Array
    Every fold replays the record engine's operation order exactly —
    carry sigma, re-square it per Clark step like [Normal.variance],
    re-sqrt like [Clark.to_normal] — so results are bit-identical
-   (IEEE-exact) to [Ssta]/[Sta] on the record engine, at every domain
+   (IEEE-exact) to [Ssta] on the record engine, at every domain
    count.  The analyzers assert this in their test suites. *)
 
 (* Per-direction (rise, fall) normal moments travelling between an
@@ -255,91 +255,4 @@ module Ssta = struct
   let rise_sigma st id = FA.get st.rise_sigma id
   let fall_mean st id = FA.get st.fall_mean id
   let fall_sigma st id = FA.get st.fall_sigma id
-end
-
-(* ------------------------------------------------------------------ *)
-(* Corner STA (the [Sta] analyzer's domain): a deterministic
-   [earliest, latest] window per net. *)
-
-module Sta = struct
-  type buf = { mutable b_early : float; mutable b_late : float }
-
-  let buf () = { b_early = 0.0; b_late = 0.0 }
-
-  type check = float -> float -> (string * string) option
-
-  type state = { circuit : Circuit.t; early : floatarray; late : floatarray }
-
-  type cfg = {
-    source : Circuit.id -> buf -> unit;
-    delay : Circuit.id -> float;
-    check : check option;
-  }
-
-  module K = struct
-    type t = { st : state; cfg : cfg; gate_net : int array; fanin_off : int array; fanin : int array }
-    type scratch = buf
-
-    let circuit t = t.st.circuit
-    let scratch _ = buf ()
-
-    let store_checked t net ~early ~late =
-      let st = t.st in
-      FA.set st.early net early;
-      FA.set st.late net late;
-      match t.cfg.check with
-      | None -> ()
-      | Some chk -> (
-        match chk early late with
-        | None -> ()
-        | Some (rule, message) -> Propagate.Sanitize.fail ~circuit:st.circuit net ~rule ~message)
-
-    let seed t scratch id =
-      t.cfg.source id scratch;
-      store_checked t id ~early:scratch.b_early ~late:scratch.b_late
-
-    (* [Sta.gate_eval] at float level: the record folds run
-       [Float.min]/[Float.max] from the infinities, so the same fold
-       here (operands interleaved — the two directions never interact)
-       is bit-identical. *)
-    let eval t _scratch k =
-      let st = t.st in
-      let off = t.fanin_off.(k) and off2 = t.fanin_off.(k + 1) in
-      let e = ref infinity and l = ref neg_infinity in
-      for j = off to off2 - 1 do
-        let i = t.fanin.(j) in
-        e := Float.min !e (FA.get st.early i);
-        l := Float.max !l (FA.get st.late i)
-      done;
-      let g = t.gate_net.(k) in
-      let d = t.cfg.delay g in
-      store_checked t g ~early:(!e +. d) ~late:(!l +. d)
-  end
-
-  module S = Propagate.Sweep (K)
-
-  let kernel st cfg =
-    let csr = Circuit.csr st.circuit in
-    {
-      K.st;
-      cfg;
-      gate_net = csr.Circuit.gate_net;
-      fanin_off = csr.Circuit.fanin_off;
-      fanin = csr.Circuit.fanin;
-    }
-
-  let run ~source ~delay ?check ?domains circuit =
-    let n = Circuit.num_nets circuit in
-    let st = { circuit; early = FA.make n 0.0; late = FA.make n 0.0 } in
-    S.run ?domains (kernel st { source; delay; check });
-    st
-
-  let update ~source ~delay ?check st ~changed =
-    let st' = { st with early = FA.copy st.early; late = FA.copy st.late } in
-    S.update (kernel st' { source; delay; check }) ~changed;
-    st'
-
-  let circuit st = st.circuit
-  let earliest st id = FA.get st.early id
-  let latest st id = FA.get st.late id
 end

@@ -1,23 +1,22 @@
-(** Flat struct-of-arrays kernels for the SSTA-shaped propagation
-    domains.
+(** Flat struct-of-arrays kernel for min/max-separated SSTA.
 
     The record engine ({!Propagate.Make}) allocates an operand array
     plus several state records per gate; at a million gates that churn
     dominates the sweep and serializes the parallel domains on GC.
-    These kernels keep per-net state in preallocated [floatarray]s (one
-    slot per net id per moment component), walk the gates through the
-    circuit's cached CSR view ({!Spsta_netlist.Circuit.csr}), and fold
-    the Clark/min/max arithmetic through caller-owned all-float buffers
+    This kernel keeps per-net state in preallocated [floatarray]s (one
+    slot per net id per moment component), walks the gates through the
+    circuit's cached CSR view ({!Spsta_netlist.Circuit.csr}), and folds
+    the Clark MAX/MIN arithmetic through caller-owned all-float buffers
     ({!Spsta_dist.Clark.mv}, {!rf_buf}) — the inner loop performs no
     allocation at all.
 
-    Each kernel is a {!Propagate.KERNEL} scheduled by the one
-    levelized scheduler, {!Propagate.Sweep}, and every fold replays the
-    record engine's operation order — results are bit-identical
-    (IEEE-exact) to the record engine at every domain count.  The
-    analyzers ({!Spsta_ssta.Ssta}, {!Spsta_ssta.Sta}) route through these
-    kernels by default and materialize records only at their API
-    boundary. *)
+    The kernel is a {!Propagate.KERNEL} scheduled by the one levelized
+    scheduler, {!Propagate.Sweep}, and every fold replays the record
+    engine's operation order — results are bit-identical (IEEE-exact)
+    to the record engine at every domain count.  {!Spsta_ssta.Ssta}
+    routes through it by default and materializes records only at its
+    API boundary.  Corner STA ({!Spsta_ssta.Sta}) runs on
+    {!Propagate.Make} only. *)
 
 type rf_buf = {
   mutable rise_mu : float;
@@ -76,37 +75,4 @@ module Ssta : sig
   val rise_sigma : state -> Spsta_netlist.Circuit.id -> float
   val fall_mean : state -> Spsta_netlist.Circuit.id -> float
   val fall_sigma : state -> Spsta_netlist.Circuit.id -> float
-end
-
-(** Corner STA: a deterministic [earliest, latest] window per net (the
-    {!Spsta_ssta.Sta} domain). *)
-module Sta : sig
-  type buf = { mutable b_early : float; mutable b_late : float }
-
-  val buf : unit -> buf
-
-  type check = float -> float -> (string * string) option
-  (** [check earliest latest] — see {!Ssta.check}. *)
-
-  type state
-
-  val run :
-    source:(Spsta_netlist.Circuit.id -> buf -> unit) ->
-    delay:(Spsta_netlist.Circuit.id -> float) ->
-    ?check:check ->
-    ?domains:int ->
-    Spsta_netlist.Circuit.t ->
-    state
-
-  val update :
-    source:(Spsta_netlist.Circuit.id -> buf -> unit) ->
-    delay:(Spsta_netlist.Circuit.id -> float) ->
-    ?check:check ->
-    state ->
-    changed:Spsta_netlist.Circuit.id list ->
-    state
-
-  val circuit : state -> Spsta_netlist.Circuit.t
-  val earliest : state -> Spsta_netlist.Circuit.id -> float
-  val latest : state -> Spsta_netlist.Circuit.id -> float
 end

@@ -18,8 +18,8 @@
 
     {!Make} is the kernel for boxed per-net states, functorized over the
     {i propagation domain} (the per-net state and the per-gate transfer
-    function); [Flat] holds the allocation-free kernels of the two
-    SSTA-shaped domains. *)
+    function); [Flat] holds the allocation-free kernel of the
+    min/max-separated SSTA domain. *)
 
 type 'state result = {
   circuit : Spsta_netlist.Circuit.t;

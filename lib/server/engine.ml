@@ -95,10 +95,9 @@ let ssta_payload circuit ~top ~check ~domains =
   in
   endpoints_payload circuit ~top ~extra:[] ~mean_of ~endpoint_json
 
-let mc_payload circuit ~case ~runs ~seed ~top ~engine =
+let mc_payload circuit ~case ~runs ~seed ~top =
   let spec = spec_of_case case in
-  let engine = match engine with Protocol.Scalar -> `Scalar | Protocol.Packed -> `Packed in
-  let result = Monte_carlo.simulate ~runs ~seed ~engine circuit ~spec in
+  let result = Monte_carlo.simulate ~runs ~seed circuit ~spec in
   let endpoint_json e =
     let s = Monte_carlo.stats result e in
     Json.Obj
@@ -237,7 +236,6 @@ let compute_payload ~domains (cache : Cache.t) (kind : Protocol.kind) =
   | Protocol.Ssta p -> ssta_payload (circuit_of p.circuit) ~top:p.top ~check:p.check ~domains
   | Protocol.Mc p ->
     mc_payload (circuit_of p.circuit) ~case:p.case ~runs:p.runs ~seed:p.seed ~top:p.top
-      ~engine:p.engine
   | Protocol.Paths p ->
     paths_payload (circuit_of p.circuit) ~k:p.k ~sigma_global:p.sigma_global
       ~sigma_spatial:p.sigma_spatial ~sigma_random:p.sigma_random

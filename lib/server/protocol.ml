@@ -53,27 +53,7 @@ let case_of_string = function
    back as an [invariant_violation] error instead of a payload. *)
 type analyze_params = { circuit : string; case : case; top : int; check : bool }
 
-(* Which Monte Carlo engine serves the request.  Both produce
-   bit-identical results (the packed engine is the fast path, the scalar
-   one the oracle), so the choice is a throughput knob, not part of the
-   result identity. *)
-type mc_engine = Scalar | Packed
-
-let mc_engine_name = function Scalar -> "scalar" | Packed -> "packed"
-
-let mc_engine_of_string = function
-  | "scalar" -> Some Scalar
-  | "packed" -> Some Packed
-  | _ -> None
-
-type mc_params = {
-  circuit : string;
-  case : case;
-  runs : int;
-  seed : int;
-  top : int;
-  engine : mc_engine;
-}
+type mc_params = { circuit : string; case : case; runs : int; seed : int; top : int }
 
 type ssta_params = { circuit : string; top : int; check : bool }
 
@@ -263,8 +243,7 @@ let request_to_json (r : request) : Json.t =
       @ (if p.check then [ ("check", Json.bool true) ] else [])
     | Mc p ->
       [ ("circuit", Json.string p.circuit); ("case", Json.string (case_name p.case));
-        ("runs", Json.int p.runs); ("seed", Json.int p.seed); ("top", Json.int p.top);
-        ("mc_engine", Json.string (mc_engine_name p.engine)) ]
+        ("runs", Json.int p.runs); ("seed", Json.int p.seed); ("top", Json.int p.top) ]
     | Paths p ->
       [ ("circuit", Json.string p.circuit); ("k", Json.int p.k);
         ("sigma_global", Json.float p.sigma_global);
@@ -383,13 +362,8 @@ let decode_request_json (json : Json.t) : (request, decode_error) Stdlib.result 
         let* runs = opt_with ~id json "runs" Json.to_int_opt "an integer" ~default:10_000 in
         let* seed = opt_with ~id json "seed" Json.to_int_opt "an integer" ~default:42 in
         let* top = opt_with ~id json "top" Json.to_int_opt "an integer" ~default:0 in
-        let* engine =
-          opt_with ~id json "mc_engine"
-            (fun v -> Option.bind (Json.to_string_opt v) mc_engine_of_string)
-            {|"scalar" or "packed"|} ~default:Packed
-        in
         if runs <= 0 then decode_fail ~id Bad_field "field \"runs\" must be positive"
-        else Stdlib.Ok (Mc { circuit; case; runs; seed; top; engine })
+        else Stdlib.Ok (Mc { circuit; case; runs; seed; top })
       | "paths" ->
         let* circuit = field_string ~id json "circuit" in
         let* k = opt_with ~id json "k" Json.to_int_opt "an integer" ~default:8 in

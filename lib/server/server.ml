@@ -2,16 +2,16 @@
 
    Two entry points over the same machinery:
 
-   - [serve ic oc]: long-lived JSON-lines loop.  Requests are read from
-     [ic] one per line and dispatched to the worker pool; responses are
-     streamed to [oc] as they complete (completion order, tagged with the
-     request id).  EOF or a [shutdown] request drains the pool gracefully.
+   - [try_submit]: admission for the long-lived JSON-lines loop, which
+     lives in {!Transport} (stdio, Unix-domain or TCP).  Responses are
+     streamed back as they complete (completion order, tagged with the
+     request id); EOF or a [shutdown] request drains the pool gracefully.
    - [run_batch lines]: execute a request file concurrently and return the
      responses in request order.
 
-   Control requests ([stats], [shutdown]) are answered by the server loop
-   itself; analysis requests go through {!Engine.execute} on a worker
-   domain, memoised via {!Cache}. *)
+   Control requests ([stats], [shutdown]) are answered by the transport
+   loop or the batch runner itself; analysis requests go through
+   {!Engine.execute} on a worker domain, memoised via {!Cache}. *)
 
 type config = {
   workers : int;
@@ -28,13 +28,12 @@ type config = {
   max_sessions : int;
   idle_timeout_s : float;
       (* sessions idle longer than this are evicted by the transport's
-         sweep; the stdio loop has no sweep, so it only applies on
-         sockets *)
+         periodic sweep *)
   store_path : string option;
       (* persistent backing for the result memo; [None] keeps the memo
          purely in-memory as before *)
   store_fsync : bool;
-  max_frame_bytes : int; (* JSONL frame bound on socket transports *)
+  max_frame_bytes : int; (* JSONL frame bound of the transport *)
   max_inflight : int; (* per-connection in-flight request bound *)
 }
 
@@ -164,46 +163,6 @@ let try_submit ?on_response t (request : Protocol.request) =
   ticket
 
 let record_invalid t = Metrics.record t.metrics ~kind:"invalid" ~outcome:`Error ~elapsed_ms:0.0
-
-(* ---------- streaming server ---------- *)
-
-let serve ?config ic oc =
-  let t = create ?config () in
-  let out_mutex = Mutex.create () in
-  let write response =
-    Mutex.lock out_mutex;
-    output_string oc (Protocol.response_to_line response);
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_mutex
-  in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | "" -> loop ()
-    | line -> (
-      match Protocol.request_of_line line with
-      | Error e ->
-        record_invalid t;
-        write (Protocol.error_response e);
-        loop ()
-      | Ok request -> (
-        match request.Protocol.kind with
-        | Protocol.Stats ->
-          write (stats_response t ~id:request.Protocol.id);
-          loop ()
-        | Protocol.Shutdown ->
-          (* stop reading, finish everything already accepted, then ack *)
-          Pool.shutdown t.pool;
-          Metrics.record t.metrics ~kind:"shutdown" ~outcome:`Ok ~elapsed_ms:0.0;
-          write (shutdown_response ~id:request.Protocol.id)
-        | _ ->
-          ignore (submit ~on_response:write t request);
-          loop () ) )
-  in
-  loop ();
-  drain t;
-  t
 
 (* ---------- batch execution ---------- *)
 

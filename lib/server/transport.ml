@@ -34,10 +34,12 @@
    exits 0.
 
    Stdio mode is the degenerate transport: one pre-accepted connection
-   on stdin/stdout, EOF plays the role of the shutdown signal.  [spsta
-   serve] without a socket flag runs exactly this. *)
+   on a borrowed (input, output) descriptor pair, and EOF plays the role
+   of the shutdown signal.  [spsta serve] without a socket flag runs it
+   on stdin/stdout; the in-process client of [spsta session] runs it on
+   a pipe pair. *)
 
-type listen = Unix_socket of string | Tcp of int | Stdio
+type listen = Unix_socket of string | Tcp of int | Stdio of Unix.file_descr * Unix.file_descr
 
 type conn = {
   in_fd : Unix.file_descr;
@@ -81,7 +83,7 @@ type t = {
   stop : bool Atomic.t;
   mutable conns : conn list;
   (* shutdown requests are acknowledged only after the drain completes,
-     matching the stdio loop's "drained: true" semantics *)
+     so the ack's "drained": true holds *)
   mutable pending_shutdown : (conn * string) list;
   log : string -> unit;
 }
@@ -129,42 +131,40 @@ let handle_frame t conn line =
     write_response conn (error_response Protocol.Invalid_utf8 "frame is not valid UTF-8")
   else handle_request t conn line
 
-(* Split complete frames off the accumulated bytes; a partial frame
-   over the bound is fatal for the connection. *)
+(* A framing error is fatal for the connection: answer it, drop the
+   unread bytes and close once in-flight requests drain. *)
+let frame_too_large conn message =
+  write_response conn (error_response Protocol.Frame_too_large message);
+  conn.pending <- "";
+  conn.eof <- true
+
+(* Split complete frames off the accumulated bytes in one pass: scan
+   with an offset, copy each frame once and the trailing partial frame
+   once.  A partial frame over the bound is fatal for the connection. *)
 let process_pending t conn =
   let max_frame = (Server.config t.server).Server.max_frame_bytes in
-  let continue = ref true in
-  while !continue do
-    match String.index_opt conn.pending '\n' with
+  let buf = conn.pending in
+  let len = String.length buf in
+  let rec scan start =
+    match String.index_from_opt buf start '\n' with
     | Some i ->
-      let line = String.sub conn.pending 0 i in
-      conn.pending <- String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-      let line =
-        (* tolerate CRLF framing *)
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      if String.length line > max_frame then begin
-        write_response conn
-          (error_response Protocol.Frame_too_large
-             (Printf.sprintf "frame of %d bytes exceeds the %d byte bound"
-                (String.length line) max_frame));
-        conn.pending <- "";
-        conn.eof <- true;
-        continue := false
+      (* tolerate CRLF framing *)
+      let stop = if i > start && buf.[i - 1] = '\r' then i - 1 else i in
+      if stop - start > max_frame then
+        frame_too_large conn
+          (Printf.sprintf "frame of %d bytes exceeds the %d byte bound" (stop - start)
+             max_frame)
+      else begin
+        handle_frame t conn (String.sub buf start (stop - start));
+        scan (i + 1)
       end
-      else handle_frame t conn line
     | None ->
-      if String.length conn.pending > max_frame then begin
-        write_response conn
-          (error_response Protocol.Frame_too_large
-             (Printf.sprintf "frame exceeds the %d byte bound without a newline" max_frame));
-        conn.pending <- "";
-        conn.eof <- true
-      end;
-      continue := false
-  done
+      if len - start > max_frame then
+        frame_too_large conn
+          (Printf.sprintf "frame exceeds the %d byte bound without a newline" max_frame)
+      else conn.pending <- (if start = 0 then buf else String.sub buf start (len - start))
+  in
+  scan 0
 
 let read_chunk_size = 65536
 
@@ -219,7 +219,7 @@ let select_timeout_s = 0.25
 let sweep_interval_s = 2.0
 
 let open_listener = function
-  | Stdio -> None
+  | Stdio _ -> None
   | Unix_socket path ->
     if Sys.file_exists path then Sys.remove path;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -238,17 +238,21 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
   let t =
     { server; stop = Atomic.make false; conns = []; pending_shutdown = []; log }
   in
+  (* [signals] makes the transport own the process's signal
+     dispositions; a host embedding it (the in-process client of [spsta
+     session], the tests) keeps its own, SIGPIPE included, so its stdout
+     still ends quietly under [| head] *)
   if signals then begin
     let handler = Sys.Signal_handle (fun _ -> Atomic.set t.stop true) in
     ignore (Sys.signal Sys.sigterm handler);
-    ignore (Sys.signal Sys.sigint handler)
+    ignore (Sys.signal Sys.sigint handler);
+    (* a client that disconnects mid-response must not kill the process *)
+    try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ()
   end;
-  (* a client that disconnects mid-response must not kill the process *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   let listener = open_listener listen in
   ( match listen with
-  | Stdio ->
-    t.conns <- [ make_conn ~stdio:true ~peer:"stdio" ~in_fd:Unix.stdin ~out_fd:Unix.stdout () ]
+  | Stdio (in_fd, out_fd) ->
+    t.conns <- [ make_conn ~stdio:true ~peer:"stdio" ~in_fd ~out_fd () ]
   | Unix_socket path -> logf t "transport: listening on %s" path
   | Tcp port -> logf t "transport: listening on 127.0.0.1:%d" port );
   let last_sweep = ref (Unix.gettimeofday ()) in
@@ -257,7 +261,7 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
     ||
     (* stdio mode ends at EOF once the last response is out *)
     match listen with
-    | Stdio -> t.conns = []
+    | Stdio _ -> t.conns = []
     | Unix_socket _ | Tcp _ -> false
   in
   while not (finished ()) do
@@ -299,6 +303,6 @@ let run ?config ?(signals = true) ?(log = fun _ -> ()) listen =
   t.conns <- [];
   ( match listen with
   | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-  | Tcp _ | Stdio -> () );
+  | Tcp _ | Stdio _ -> () );
   logf t "transport: stopped";
   server

@@ -5,8 +5,9 @@
     Trial [i] always consumes its own generator, [Rng.stream ~seed i],
     and the per-trial observations are folded in a fixed chunked order,
     so the result is a function of [(seed, runs)] alone: bit-identical
-    across engines ([`Scalar] runs one {!Logic_sim.run_random} per
-    trial; [`Packed] propagates 64 trials per {!Packed_sim} block) and
+    across engines ([`Packed], the one every analysis runs, propagates
+    64 trials per {!Packed_sim} block; [`Scalar], the oracle it is
+    tested against, runs one {!Logic_sim.run_random} per trial) and
     across every [domains] count. *)
 
 type engine = [ `Scalar | `Packed ]
@@ -52,29 +53,12 @@ val simulate :
 (** [runs] defaults to 10_000, matching the paper.  [delay_sigma] adds
     independent N(gate_delay, delay_sigma) process variation per gate
     per run (default 0).  [engine] defaults to [`Packed], the
-    bit-parallel fast path; [`Scalar] is the oracle and produces
-    bit-identical results.  [domains] (default 1) spreads the trial
+    bit-parallel fast path; [`Scalar] is the oracle hook for the test
+    suite and the bench's fidelity check, and produces bit-identical
+    results.  [domains] (default 1) spreads the trial
     chunks over that many OCaml domains — a pure throughput knob, the
     result does not depend on it.  [spec] must be pure.  Raises
     [Invalid_argument] on negative [runs] or non-positive [domains]. *)
-
-val simulate_parallel :
-  ?gate_delay:float ->
-  ?delay_sigma:float ->
-  ?mis:Spsta_logic.Mis_model.t ->
-  ?runs:int ->
-  ?domains:int ->
-  ?engine:engine ->
-  seed:int ->
-  Spsta_netlist.Circuit.t ->
-  spec:(Spsta_netlist.Circuit.id -> Input_spec.t) ->
-  result
-(** {!simulate} with [domains] defaulting to the machine's recommended
-    domain count.  Every trial draws from the same per-trial stream at
-    any domain count, and chunk results are merged along a fixed
-    reduction tree, so this equals the sequential {!simulate} bit for
-    bit — the historical "parallel results differ from the sequential
-    stream" caveat is gone. *)
 
 val merge : result -> result -> result
 (** Combine two results over the same circuit (e.g. shards of a larger

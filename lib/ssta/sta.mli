@@ -3,7 +3,9 @@
     "two dotted lines" of the paper's Fig. 1.
 
     Traversal (sequential, levelized-parallel and incremental) comes
-    from {!Spsta_engine.Propagate}. *)
+    from the record engine, {!Spsta_engine.Propagate.Make}, with the
+    sanitizer ({!Spsta_engine.Propagate.Sanitize.wrap}) around the
+    domain under [check]. *)
 
 type bounds = { earliest : float; latest : float }
 
@@ -16,17 +18,11 @@ val analyze :
   ?input_bounds_of:(Spsta_netlist.Circuit.id -> bounds) ->
   ?check:bool ->
   ?domains:int ->
-  ?engine:[ `Flat | `Record ] ->
   Spsta_netlist.Circuit.t ->
   result
 (** [gate_delay_of] overrides [gate_delay] (default 1.0) per gate-output
     net — e.g. sized-cell mean delays from
     {!Spsta_netlist.Sized_library}.
-
-    [engine] selects the implementation ([`Flat] default — the
-    struct-of-arrays kernel {!Spsta_engine.Flat.Sta}; [`Record] the
-    boxed engine); results are bit-identical, see {!Spsta_ssta.Ssta}.
-    {!update} stays on the engine that produced its input result.
 
     [input_bounds] defaults to {earliest = 0.; latest = 0.}; the paper's
     N(0,1) inputs are commonly bounded at +-3 sigma, i.e.
@@ -55,8 +51,8 @@ val update :
 (** Incremental re-analysis: recompute only the fanout cones of the
     [changed] nets under the new source windows; matches a full
     {!analyze} provided nothing outside the cones changed.  Bounds
-    outside the cones are carried over bit-for-bit; the input [result]
-    is not mutated. *)
+    outside the cones are carried over bit-for-bit (physically shared
+    with the input); the input [result] is not mutated. *)
 
 val bounds : result -> Spsta_netlist.Circuit.id -> bounds
 

@@ -169,14 +169,8 @@ let test_sta_clean_cone_shared () =
     (fun g ->
       let a = Sta.bounds base g and b = Sta.bounds incremental g in
       Alcotest.(check bool) "clean bounds bitwise unchanged" true
-        (bits_equal a.Sta.earliest b.Sta.earliest && bits_equal a.Sta.latest b.Sta.latest))
-    clean;
-  let base = Sta.analyze ~engine:`Record c in
-  let incremental = Sta.update base ~input_bounds_of:bounds_of ~changed:[ changed ] in
-  List.iter
-    (fun g ->
-      Alcotest.(check bool) "clean bounds physically shared (record engine)" true
-        (Sta.bounds base g == Sta.bounds incremental g))
+        (bits_equal a.Sta.earliest b.Sta.earliest && bits_equal a.Sta.latest b.Sta.latest);
+      Alcotest.(check bool) "clean bounds physically shared" true (a == b))
     clean
 
 let test_sta_noop_update () =

@@ -4,6 +4,7 @@
 
 module Json = Spsta_server.Json
 module Protocol = Spsta_server.Protocol
+module Cache = Spsta_server.Cache
 
 let code = Alcotest.testable (Fmt.of_to_string Protocol.error_code_name) ( = )
 
@@ -63,13 +64,11 @@ let all_requests : Protocol.request list =
     { id = "m1"; deadline_ms = Some 100.0;
       kind =
         Mc
-          { circuit = "s386"; case = Protocol.Case_ii; runs = 2000; seed = 7; top = 0;
-            engine = Protocol.Packed } };
+          { circuit = "s386"; case = Protocol.Case_ii; runs = 2000; seed = 7; top = 0 } };
     { id = "m2"; deadline_ms = None;
       kind =
         Mc
-          { circuit = "s27"; case = Protocol.Case_i; runs = 100; seed = 1; top = 2;
-            engine = Protocol.Scalar } };
+          { circuit = "s27"; case = Protocol.Case_i; runs = 100; seed = 1; top = 2 } };
     { id = "p1"; deadline_ms = None;
       kind =
         Paths
@@ -131,10 +130,28 @@ let test_request_defaults () =
     Alcotest.(check int) "default seed" 42 p.Protocol.seed;
     Alcotest.(check int) "default top" 0 p.Protocol.top;
     Alcotest.(check bool) "no deadline" true (deadline_ms = None);
-    Alcotest.(check string) "case defaults to I" "I" (Protocol.case_name p.Protocol.case);
-    Alcotest.(check string) "engine defaults to packed" "packed"
-      (Protocol.mc_engine_name p.Protocol.engine)
+    Alcotest.(check string) "case defaults to I" "I" (Protocol.case_name p.Protocol.case)
   | Ok _ -> Alcotest.fail "wrong kind"
+
+(* requests name no Monte Carlo engine; the field older clients still
+   send is ignored like any unknown field, so it changes neither the
+   decoded parameters nor the memo key *)
+let test_mc_ignores_engine_field () =
+  let decode line =
+    match Protocol.request_of_line line with
+    | Ok { kind = Mc _ as kind; _ } -> kind
+    | Ok _ -> Alcotest.fail "wrong kind"
+    | Error e -> Alcotest.failf "decode of %s failed: %s" line e.Protocol.message
+  in
+  let plain = decode "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"runs\":500}" in
+  let legacy =
+    decode
+      "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"runs\":500,\"mc_engine\":\"scalar\"}"
+  in
+  Alcotest.(check bool) "same mc params" true (plain = legacy);
+  Alcotest.(check string) "same memo key"
+    (Cache.memo_key ~digest:"d" plain)
+    (Cache.memo_key ~digest:"d" legacy)
 
 let test_size_defaults () =
   match Protocol.request_of_line "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\"}" with
@@ -232,8 +249,6 @@ let test_reject_bad_field () =
       "{\"id\":\"x\",\"kind\":\"analyze\",\"circuit\":\"s27\",\"case\":\"XVII\"}";
       "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"runs\":-4}";
       "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"runs\":\"many\"}";
-      "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"mc_engine\":\"quantum\"}";
-      "{\"id\":\"x\",\"kind\":\"mc\",\"circuit\":\"s27\",\"mc_engine\":3}";
       "{\"id\":\"x\",\"kind\":\"paths\",\"circuit\":\"s27\",\"k\":0}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"quantile\":1.5}";
       "{\"id\":\"x\",\"kind\":\"size\",\"circuit\":\"s27\",\"target\":0}";
@@ -263,6 +278,7 @@ let suite =
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
     Alcotest.test_case "request round trip" `Quick test_request_round_trip;
     Alcotest.test_case "request defaults" `Quick test_request_defaults;
+    Alcotest.test_case "mc ignores an engine field" `Quick test_mc_ignores_engine_field;
     Alcotest.test_case "size request defaults" `Quick test_size_defaults;
     Alcotest.test_case "session request defaults" `Quick test_session_defaults;
     Alcotest.test_case "response round trip" `Quick test_response_round_trip;

@@ -2,8 +2,9 @@
    streamed-mutation bit-identity against an independent from-scratch
    analysis, pool affinity ordering and non-blocking admission, the
    persistent result store (recovery, dedup, compaction, torn lines),
-   and the socket transport end to end — framing errors, per-connection
-   pipelining and graceful shutdown over a real Unix-domain socket. *)
+   the socket transport end to end — framing errors, per-connection
+   pipelining and graceful shutdown over a real Unix-domain socket — and
+   the stdio transport on a pipe pair, as the in-process client runs it. *)
 
 module Json = Spsta_server.Json
 module Protocol = Spsta_server.Protocol
@@ -503,6 +504,93 @@ let test_socket_transport () =
   (try Unix.shutdown_connection ic with _ -> ());
   Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists path)
 
+(* The stdio transport on a borrowed pipe pair, wired the way the
+   in-process client of [spsta session] wires it: no signal handlers,
+   and closing the request pipe is the EOF that drains the server.
+   [f] talks over the channels; afterwards the request side is closed,
+   every trailing response line is collected, and the drained server
+   is returned with them. *)
+let with_pipe_transport ?(config = Server.default_config) f =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  let server =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close req_r; Unix.close resp_w)
+          (fun () -> Transport.run ~config ~signals:false (Transport.Stdio (req_r, resp_w))))
+  in
+  let ic = Unix.in_channel_of_descr resp_r and oc = Unix.out_channel_of_descr req_w in
+  f ic oc;
+  close_out oc;
+  let rec trailing acc =
+    match input_line ic with line -> trailing (line :: acc) | exception End_of_file -> acc
+  in
+  let lines = List.rev (trailing []) in
+  let t = Domain.join server in
+  close_in ic;
+  (t, lines)
+
+let test_pipe_transport () =
+  let t, trailing =
+    with_pipe_transport (fun ic oc ->
+        ignore
+          (ok_result
+             (rpc ic oc "{\"id\":\"o\",\"kind\":\"open\",\"session\":\"p\",\"circuit\":\"s27\"}"));
+        let source =
+          let c = (Cache.load_circuit (Cache.create ()) "s27").Cache.circuit in
+          Circuit.net_name c (List.hd (Circuit.sources c))
+        in
+        let m =
+          ok_result
+            (rpc ic oc
+               (Printf.sprintf
+                  "{\"id\":\"m\",\"kind\":\"mutate\",\"session\":\"p\",\"op\":\"set_input\",\"net\":%s,\"mu_rise\":0.5}"
+                  (Json.to_string (Json.string source))))
+        in
+        Alcotest.(check bool) "mutation applied over the pipe" true (json_bool m "applied");
+        let v = ok_result (rpc ic oc "{\"id\":\"v\",\"kind\":\"verify\",\"session\":\"p\"}") in
+        Alcotest.(check bool) "verify over the pipe" true (json_bool v "identical"))
+  in
+  (* EOF drained the server: no stray output, the response pipe closed,
+     and the session's work is on the books *)
+  Alcotest.(check (list string)) "nothing after EOF" [] trailing;
+  Alcotest.(check int) "one session opened" 1
+    (Metrics.sessions_opened_total (Server.metrics t));
+  Alcotest.(check int) "one mutation applied" 1 (Metrics.sessions_mutations (Server.metrics t))
+
+(* Many frames in one read: every frame is answered exactly once, LF and
+   CRLF framing alike *)
+let test_many_frames_one_write () =
+  let n = 1200 in
+  let frames = Buffer.create (n * 40) in
+  for i = 0 to n - 1 do
+    Buffer.add_string frames
+      (Printf.sprintf "{\"id\":\"f%d\",\"kind\":\"stats\"}%s" i
+         (if i mod 2 = 0 then "\r\n" else "\n"))
+  done;
+  let _, responses =
+    with_pipe_transport (fun _ oc ->
+        let bytes = Buffer.contents frames in
+        (* one write(2): the pipe holds the whole batch unread *)
+        let fd = Unix.descr_of_out_channel oc in
+        Alcotest.(check int) "one write" (String.length bytes)
+          (Unix.single_write_substring fd bytes 0 (String.length bytes)))
+  in
+  Alcotest.(check int) "one response per frame" n (List.length responses);
+  let seen = Hashtbl.create n in
+  List.iter
+    (fun line ->
+      match Protocol.response_of_line line with
+      | Ok (Protocol.Ok { id; _ }) ->
+        if Hashtbl.mem seen id then Alcotest.failf "id %s answered twice" id;
+        Hashtbl.add seen id ()
+      | Ok (Protocol.Error { message; _ }) -> Alcotest.failf "unexpected error: %s" message
+      | Error e -> Alcotest.failf "unparseable response: %s" e.Protocol.message)
+    responses;
+  for i = 0 to n - 1 do
+    if not (Hashtbl.mem seen (Printf.sprintf "f%d" i)) then Alcotest.failf "id f%d unanswered" i
+  done
+
 let suite =
   [
     Alcotest.test_case "registry lifecycle" `Quick test_registry_lifecycle;
@@ -517,4 +605,6 @@ let suite =
       test_store_compaction_and_torn_lines;
     Alcotest.test_case "cache serves warm hits from the store" `Quick test_cache_store_roundtrip;
     Alcotest.test_case "socket transport end to end" `Quick test_socket_transport;
+    Alcotest.test_case "stdio transport over a pipe pair" `Quick test_pipe_transport;
+    Alcotest.test_case "1000+ frames from one write" `Quick test_many_frames_one_write;
   ]
